@@ -172,6 +172,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be non-negative")
     spec = parse_poset_spec(args.spec)
     poset = posets.build_poset(spec)
     stream = (
@@ -284,11 +286,13 @@ def _cmd_map_inverse(args, spec) -> int:
 
 def cmd_series(args) -> int:
     order = args.order if args.order is not None else args.seed_order
+    if order < 0:
+        raise ValueError("orders must be non-negative")
     which = args.which
     if which == "rectangle":
         table = series.rectangle_counts(order, order)
         if args.format == "json":
-            print(json.dumps(series.rectangle_series(order, order).to_json_dict()))
+            _print_integer_series(["x", "y"], sorted(table.items()))
         else:
             print("m\\n," + ",".join(str(n) for n in range(order + 1)))
             for m in range(order + 1):
@@ -296,7 +300,7 @@ def cmd_series(args) -> int:
     elif which == "bminuscule":
         counts = series.b_minuscule_counts(order)
         if args.format == "json":
-            print(json.dumps(series.b_minuscule_series(order).to_json_dict()))
+            _print_integer_series(["x"], (((n,), c) for n, c in enumerate(counts)))
         elif args.format == "csv":
             print("n,count")
             for n, c in enumerate(counts):
@@ -313,16 +317,22 @@ def cmd_series(args) -> int:
         table = series.truncated_counts(order, order)
         rows = [(m, n, r) for (m, n, r) in sorted(table) if m + n <= order]
         if args.format == "json":
-            terms = [
-                {"exp": [n - r, m - r, m + n], "num": str(table[(m, n, r)]), "den": "1"}
-                for (m, n, r) in rows
-            ]
-            print(json.dumps({"vars": ["t", "x", "z"], "terms": terms}))
+            _print_integer_series(
+                ["t", "x", "z"],
+                (((n - r, m - r, m + n), table[(m, n, r)]) for (m, n, r) in rows),
+            )
         else:
             print("m,n,r,count")
             for m, n, r in rows:
                 print(f"{m},{n},{r},{table[(m, n, r)]}")
     return EXIT_OK
+
+
+def _print_integer_series(variables, terms) -> None:
+    """Print (exponent, integer coefficient) pairs in the series JSON format
+    of TruncatedSeries.to_json_dict, in the order given."""
+    payload = [{"exp": list(exp), "num": str(c), "den": "1"} for exp, c in terms]
+    print(json.dumps({"vars": variables, "terms": payload}))
 
 
 def _print_sequence(args, counts, start: int) -> None:

@@ -2,11 +2,14 @@
 
 Three independent routes to the same numbers live here:
 
-  * closed forms evaluated in exact rational arithmetic -- the rectangle
-    series A(x, y) = 2/(1 - x - y + 2xy + sqrt((1-x-y)^2 - 4xy)), the
-    bicolored Motzkin series C with C = 1 + (x+y)C + xyC^2, Narayana
-    numbers, the staircase-minuscule series, and per-family polynomial
-    formulas;
+  * closed forms -- the rectangle series
+    A(x, y) = 2/(1 - x - y + 2xy + sqrt((1-x-y)^2 - 4xy)), the bicolored
+    Motzkin series C with C = 1 + (x+y)C + xyC^2, Narayana numbers, the
+    staircase-minuscule series, and per-family polynomial formulas.  The
+    counts are read off integer convolution recurrences derived from the
+    closed forms; the same formulas evaluated literally in exact rational
+    arithmetic (TruncatedSeries, Newton iteration for roots and inverses)
+    are the independent reference that tests and verify compare against;
 
   * per-z coefficient recurrences for the walk generating functions
     F(x, y, z) (walks from the origin) and G(t, x, y, z) (walks from
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Mapping, Sequence
 
 ORDER_BUDGET = 40
@@ -237,6 +241,34 @@ def series_from_json(data: dict, trunc: Sequence[int]) -> TruncatedSeries:
 
 # ---------------------------------------------------------------------------
 # Closed forms: rectangles, bicolored Motzkin paths, Narayana numbers
+#
+# The *_series functions evaluate the formulas literally over Fractions and
+# are the reference; the *_counts functions read the same coefficients off
+# integer recurrences.  With C = 1 + (x+y)C + xyC^2 the discriminant root is
+# sqrt((1-x-y)^2 - 4xy) = 1 - x - y - 2xyC, so A = 1/(1 - x - y + xy(1 - C))
+# and both C and A satisfy T = [1] + xT + yT + xy(...) coefficientwise.
+
+
+def _xy_convolution(p: list[list[int]], q: list[list[int]], m: int, n: int) -> int:
+    """Coefficient of x^(m-1) y^(n-1) in P*Q for tables stored as rows
+    p[i][j]; zero when m or n is zero."""
+    if not (m and n):
+        return 0
+    return sum(sum(map(mul, p[a][:n], q[m - 1 - a][n - 1 :: -1])) for a in range(m))
+
+
+def _bicolored_rows(mmax: int, nmax: int) -> list[list[int]]:
+    """c[m][n] for m <= mmax, n <= nmax, from C = 1 + (x+y)C + xyC^2."""
+    c = [[0] * (nmax + 1) for _ in range(mmax + 1)]
+    for m in range(mmax + 1):
+        for n in range(nmax + 1):
+            c[m][n] = (
+                (m == n == 0)
+                + (c[m - 1][n] if m else 0)
+                + (c[m][n - 1] if n else 0)
+                + _xy_convolution(c, c, m, n)
+            )
+    return c
 
 
 @lru_cache(maxsize=32)
@@ -249,13 +281,23 @@ def rectangle_series(mmax: int, nmax: int) -> TruncatedSeries:
     root = ((1 - x - y) * (1 - x - y) - 4 * x * y).sqrt()
     return (2 * one) / (1 - x - y + 2 * x * y + root)
 
+
 def rectangle_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
-    series = rectangle_series(mmax, nmax)
-    return {
-        (m, n): series.integer_coefficient((m, n))
-        for m in range(mmax + 1)
-        for n in range(nmax + 1)
-    }
+    """ICS counts of [m] x [n] for m <= mmax, n <= nmax, from
+    A = 1 + xA + yA + xy(C - 1)A."""
+    _check_budget(mmax, nmax)
+    c = _bicolored_rows(mmax - 1, nmax - 1)
+    a = [[0] * (nmax + 1) for _ in range(mmax + 1)]
+    for m in range(mmax + 1):
+        for n in range(nmax + 1):
+            a[m][n] = (
+                (m == n == 0)
+                + (a[m - 1][n] if m else 0)
+                + (a[m][n - 1] if n else 0)
+                - (a[m - 1][n - 1] if m and n else 0)
+                + _xy_convolution(c, a, m, n)
+            )
+    return {(m, n): a[m][n] for m in range(mmax + 1) for n in range(nmax + 1)}
 
 
 @lru_cache(maxsize=32)
@@ -273,12 +315,9 @@ def bicolored_series(mmax: int, nmax: int) -> TruncatedSeries:
 
 
 def bicolored_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
-    series = bicolored_series(mmax, nmax)
-    return {
-        (m, n): series.integer_coefficient((m, n))
-        for m in range(mmax + 1)
-        for n in range(nmax + 1)
-    }
+    _check_budget(mmax + 1, nmax + 1)  # the budget of bicolored_series
+    c = _bicolored_rows(mmax, nmax)
+    return {(m, n): c[m][n] for m in range(mmax + 1) for n in range(nmax + 1)}
 
 
 def narayana(a: int, b: int) -> int:
@@ -296,7 +335,7 @@ def full_count(m: int, n: int) -> int:
     endpoints; read off the bicolored path series, equals N(m+n-1, n)."""
     if m < 1 or n < 1:
         raise ValueError("full ICS counting needs m, n >= 1")
-    return bicolored_series(m, n).integer_coefficient((m - 1, n - 1))
+    return bicolored_counts(m, n)[(m - 1, n - 1)]
 
 
 def closed_form_count(family: str, params) -> int:
@@ -354,8 +393,26 @@ def b_minuscule_series(nmax: int) -> TruncatedSeries:
 
 
 def b_minuscule_counts(nmax: int) -> list[int]:
-    series = b_minuscule_series(nmax)
-    return [series.integer_coefficient((n,)) for n in range(nmax + 1)]
+    """Coefficients of the staircase series, rewritten with
+    sqrt(1 - 4x) = 1 - 2x Cat(x) as B = P/Q, P = 2 - 5x + 4x^2 and
+    Q = 2 - 7x + 7x^2 - 4x^3 - (2x - 3x^2) Cat(x); Q has constant term 2,
+    so each coefficient is one exact halving."""
+    _check_budget(nmax)
+    numer = [2, -5, 4] + [0] * nmax
+    denom = [2, -7, 7, -4] + [0] * nmax
+    for k in range(nmax):
+        catalan = comb(2 * k, k) // (k + 1)
+        denom[k + 1] -= 2 * catalan
+        denom[k + 2] += 3 * catalan
+    counts: list[int] = []
+    for n in range(nmax + 1):
+        twice = numer[n] - sum(denom[k] * counts[n - k] for k in range(1, n + 1))
+        if twice % 2:
+            raise ArithmeticError(
+                f"coefficient at ({n},) is not an integer: {Fraction(twice, 2)}"
+            )
+        counts.append(twice // 2)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +430,6 @@ class CoeffPolynomial:
 
     def __getitem__(self, exp: tuple[int, ...]) -> int:
         return self.coeffs.get(tuple(exp), 0)
-
-    def to_series(self) -> TruncatedSeries:
-        trunc = tuple(
-            max((e[k] for e in self.coeffs), default=0)
-            for k in range(len(self.variables))
-        )
-        return TruncatedSeries(self.variables, trunc, self.coeffs)
 
 
 def _advance(

@@ -1,11 +1,13 @@
 """One-shot verification suite: recomputes every reference number at desk
 scale and reports a pass/fail record per check.
 
-Levels: "quick" keeps to a few seconds; "full" adds the larger brute-force
-sweeps (three-chain tables, round-trip and engine-equivalence sweeps) and
-stays within tens of minutes on commodity hardware.  Each record carries a
-source tag: paper-sequence / paper-table for published numbers, closed-form
-for formula cross-checks, oracle for brute-force agreement.
+Levels: "quick" keeps to about a second; "full" adds the larger brute-force
+sweeps (three-chain tables, round-trip and engine-equivalence sweeps) and a
+deeper integer-recurrence versus Fraction/Newton comparison, and takes about
+12 s on a 2-vCPU machine with Python 3.11 (most of it in the Fraction
+engine).  Each record carries a source tag: paper-sequence / paper-table for
+published numbers, closed-form for formula cross-checks, oracle for
+brute-force agreement.
 """
 
 from __future__ import annotations
@@ -320,6 +322,27 @@ def _check_shift_map(total: int):
     return [], bad
 
 
+def _check_integer_recurrences(size: int, order: int):
+    # the production integer recurrences against the literal Fraction/Newton
+    # evaluation of the same closed forms, coefficient by coefficient
+    pairs = [
+        ("rectangle", series.rectangle_counts(size, size), series.rectangle_series(size, size)),
+        ("bicolored", series.bicolored_counts(size, size), series.bicolored_series(size, size)),
+        (
+            "B-minuscule",
+            {(n,): c for n, c in enumerate(series.b_minuscule_counts(order))},
+            series.b_minuscule_series(order),
+        ),
+    ]
+    bad = [
+        (name, exp, value, reference[exp])
+        for name, table, reference in pairs
+        for exp, value in table.items()
+        if reference[exp] != value
+    ]
+    return [], bad
+
+
 def _check_recurrence_properties():
     # deep recurrence run: every step checks exponent cancellation and
     # non-negativity internally, so surviving to z^40 is the property
@@ -366,6 +389,12 @@ def run_checks(level: str = "quick") -> list[CheckRecord]:
         ("truncated series head", "paper-table", _check_truncated_series),
         ("three-chain table small", "paper-table", lambda: _check_three_chain([(2, 2, 2), (2, 2, 3)])),
         ("recurrence properties to z^40", "closed-form", _check_recurrence_properties),
+        (
+            "integer recurrences vs Fraction closed forms"
+            + (" m,n<=10, order<=40" if full else " m,n<=6, order<=20"),
+            "closed-form",
+            lambda: _check_integer_recurrences(*((10, 40) if full else (6, 20))),
+        ),
     ]
     if full:
         checks += [

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from icsets import series, verify
 from icsets.cli import main, parse_ics_json, parse_poset_spec
 from icsets.posets import ChainProduct, OrdinalSumAntichains, TruncatedRectangle, TypeARoot
 
@@ -160,6 +161,12 @@ def test_enumerate_json(capsys):
     assert code == 0 and json.loads(out) == [[], [[1, 1]]]
 
 
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "rect:2x2", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "--limit must be non-negative" in err and "islice" not in err
+
+
 def test_stats_output(capsys):
     code, out, _ = run(capsys, "stats", "rootA:5", "[[3,5],[3,6],[6,3]]", "--json")
     assert code == 0
@@ -228,6 +235,37 @@ def test_series_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("order", [0, 1, 3, 6])
+def test_series_json_matches_fraction_engine(capsys, order):
+    code, out, _ = run(capsys, "series", "rectangle", "--order", str(order), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(series.rectangle_series(order, order).to_json_dict()) + "\n"
+    code, out, _ = run(capsys, "series", "bminuscule", "--order", str(order), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(series.b_minuscule_series(order).to_json_dict()) + "\n"
+
+
+def test_series_budget_edges(capsys):
+    code, out, _ = run(capsys, "series", "rectangle", "--order", "40", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 42
+    for argv in (("rectangle", "--order", "41"), ("truncated", "--order", "21")):
+        code, out, err = run(capsys, "series", *argv)
+        assert code == 3 and out == "" and "exceeds budget 40" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "typeA", "--order", "-2"),
+        ("series", "broot", "--order", "-2"),
+        ("--seed-order", "-3", "series", "typeA"),
+    ],
+)
+def test_series_rejects_negative_order(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "orders must be non-negative" in err
+
+
 def test_series_default_order_flag(capsys):
     code, out, _ = run(capsys, "--seed-order", "3", "series", "bminuscule")
     assert code == 0 and out.strip() == "1, 2, 7, 26"
@@ -255,3 +293,18 @@ def test_verify_json(capsys):
         "closed-form",
         "oracle",
     }
+
+
+def test_verify_cross_checks_integer_recurrences(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--level", "quick", "--json")
+    assert code == 0
+    (record,) = [
+        r
+        for r in json.loads(out)
+        if r["name"].startswith("integer recurrences vs Fraction closed forms")
+    ]
+    assert record["source"] == "closed-form" and record["pass"]
+    # a wrong coefficient in the integer engine is reported
+    monkeypatch.setattr(series, "b_minuscule_counts", lambda n: [1] * (n + 1))
+    _, bad = verify._check_integer_recurrences(2, 3)
+    assert [entry[:2] for entry in bad] == [("B-minuscule", (n,)) for n in (1, 2, 3)]

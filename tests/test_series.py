@@ -27,6 +27,7 @@ from icsets.series import (
     b_minuscule_series,
     b_root_counts,
     bicolored_counts,
+    bicolored_series,
     closed_form_count,
     full_count,
     narayana,
@@ -162,6 +163,32 @@ def test_file_hitting_count_is_narayana():
             assert brute == narayana(m + n, n)
 
 
+def _frame_coefficients(series, mmax, nmax):
+    return {
+        (m, n): series.integer_coefficient((m, n))
+        for m in range(mmax + 1)
+        for n in range(nmax + 1)
+    }
+
+
+@pytest.mark.parametrize("mmax,nmax", [(10, 10), (3, 9)])
+def test_integer_tables_match_fraction_engine(mmax, nmax):
+    assert rectangle_counts(mmax, nmax) == _frame_coefficients(
+        rectangle_series(mmax, nmax), mmax, nmax
+    )
+    assert bicolored_counts(mmax, nmax) == _frame_coefficients(
+        bicolored_series(mmax, nmax), mmax, nmax
+    )
+
+
+def test_rectangle_order_40_rows_and_symmetry():
+    table = rectangle_counts(40, 40)
+    for n in range(41):
+        assert table[(2, n)] == closed_form_count("two_by_n", n)
+        assert table[(3, n)] == closed_form_count("three_by_n", n)
+    assert all(table[(m, n)] == table[(n, m)] for m in range(41) for n in range(41))
+
+
 def test_bicolored_counts_are_nonnegative():
     table = bicolored_counts(5, 5)
     assert all(v >= 0 for v in table.values())
@@ -182,6 +209,11 @@ def test_b_minuscule_oracle():
         square = build_poset(ChainProduct(n, n))
         mirrored = enumerate_symmetric_ics(square, vertical_involution(ChainProduct(n, n)))
         assert b_minuscule_counts(n)[n] == direct == mirrored
+
+
+def test_b_minuscule_integer_recurrence_matches_fraction_engine():
+    series = b_minuscule_series(40)
+    assert b_minuscule_counts(40) == [series.integer_coefficient((n,)) for n in range(41)]
 
 
 def test_b_minuscule_series_has_integer_coefficients():
