@@ -193,7 +193,6 @@ def cmd_stats(args) -> int:
     spec = parse_poset_spec(args.spec)
     poset = posets.build_poset(spec)
     labels = parse_ics_json(args.ics)
-    _require_labels(poset, labels)
     members = poset.indices_of(labels)
     witness = posets.find_ics_violation(poset, members)
     if witness is not None:
@@ -216,12 +215,6 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _require_labels(poset, labels) -> None:
-    unknown = [lab for lab in labels if lab not in poset.index]
-    if unknown:
-        raise ValueError(f"elements not in the poset: {sorted(unknown)}")
-
-
 # ---------------------------------------------------------------------------
 # map
 
@@ -232,7 +225,7 @@ def cmd_map(args) -> int:
         return _cmd_map_inverse(args, spec)
     poset = posets.build_poset(spec)
     labels = parse_ics_json(args.input)
-    _require_labels(poset, labels)
+    poset.indices_of(labels)  # unknown labels exit 2 before any family check
     if args.to == "motzkin":
         if not isinstance(spec, ChainProduct):
             if isinstance(spec, TruncatedRectangle) and spec.r == 0:

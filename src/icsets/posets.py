@@ -19,10 +19,43 @@ Poset families built here:
 
 Conventions:
   Elements are indexed 0..N-1 in sorted label order (row-major by (a, b) for
-  chain products); this indexing is a linear extension, which the enumerator
-  relies on.  Subsets at this layer are frozensets of element indices; the
-  bitmask encoding of a subset uses bit k for element k.  Enumeration emits
-  subsets in ascending bitmask order, so the empty set always comes first.
+  chain products); this indexing is a linear extension, which the
+  construction and the enumerator rely on.  Subsets at this layer are
+  frozensets of element indices; the bitmask encoding of a subset uses bit k
+  for element k.  Enumeration emits subsets in ascending bitmask order, so
+  the empty set always comes first.  Labels and indices outside the poset
+  raise ValueError.
+
+Construction from covers:
+  Each family names the upper covers of every element, and the order masks
+  are their reflexive-transitive closure, built in two passes that cost one
+  big-integer OR per cover each: up[i] = bit(i) | OR up[j] over the upper
+  covers j of i, in reverse index order, then down likewise over the lower
+  covers in index order.  The cover set, the cover-graph adjacency and the
+  minimal elements are read off the same list.
+  - Ordinal sums: every element of the next block covers every element of
+    its block.
+  - Grid families (all others): the upper covers of a label are the unit
+    steps (one coordinate plus 1) that stay inside the label set.  These
+    generate the componentwise order because, for every family here, two
+    comparable labels x <= y are joined by a monotone unit-step path inside
+    the set.  The boxes, truncated rectangles and root triangles are order-
+    convex (a box cut by an up-set), so any such path stays inside; the
+    staircase halves add the condition a <= b, which holds all along the
+    path that raises b to y's value before raising a.  A unit step has
+    nothing strictly between its ends, so the unit steps are exactly the
+    covers.
+
+The oracle's interval test:
+  The search decides elements N-1 down to 0 and carries two masks: D, the
+  elements below some chosen element, and F, the elements below an excluded
+  element that lies in D.  Excluding k adds down_strict(k) to F when k is in
+  D; including k adds down_strict(k) to D; k may be included iff k is not in
+  F.  Including k breaks interval closure iff some excluded z and chosen y
+  have k < z < y.  Since indexing is a linear extension, such y and z were
+  both decided before k, y before z, so z was in D when it was excluded and
+  k is in F; conversely every element of F lies under such a pair.  Every
+  leaf of the search is therefore an ICS, and every ICS is a leaf.
 """
 
 from __future__ import annotations
@@ -142,43 +175,36 @@ class FinitePoset:
     reduction as a frozenset of (lower, upper) index pairs.  up_mask(i) /
     down_mask(i) are reflexive principal filter/ideal bitmasks, and
     interval_mask(x, y) is the bitmask of {z : x <= z <= y}.
+
+    upper_covers(label) names the labels that cover label; names outside the
+    label set are dropped.  Sorted label order must be a linear extension, so
+    every cover has a larger index than the element it covers.  The masks are
+    closed over the covers in two passes: up in reverse index order, down in
+    index order.
     """
 
-    def __init__(self, labels: Iterable[tuple], leq_labels, spec: PosetSpec | None = None):
+    def __init__(self, labels: Iterable[tuple], upper_covers, spec: PosetSpec | None = None):
         labels = tuple(sorted(labels))
         n = len(labels)
         self.n = n
         self.labels = labels
         self.spec = spec
-        self.index = {lab: i for i, lab in enumerate(labels)}
-        up = [0] * n
-        down = [0] * n
-        for i, a in enumerate(labels):
-            for j, b in enumerate(labels):
-                if leq_labels(a, b):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+        index = {lab: i for i, lab in enumerate(labels)}
+        self.index = index
+        above = [[index[c] for c in upper_covers(lab) if c in index] for lab in labels]
+        below = [[] for _ in range(n)]
+        for i, js in enumerate(above):
+            for j in js:
+                below[j].append(i)
+        up = _close_over(above, reversed(range(n)))
+        down = _close_over(below, range(n))
         self._up = up
         self._down = down
-        self._up_strict = [up[i] & ~(1 << i) for i in range(n)]
-        self._down_strict = [down[i] & ~(1 << i) for i in range(n)]
-        covers = []
-        adj = [0] * n
-        for i in range(n):
-            rest = self._up_strict[i]
-            while rest:
-                jbit = rest & -rest
-                rest ^= jbit
-                j = jbit.bit_length() - 1
-                if not (self._up_strict[i] & self._down_strict[j]):
-                    covers.append((i, j))
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        self.covers = frozenset(covers)
-        self._cover_adj = adj
-        self.minimal_mask = sum(
-            1 << i for i in range(n) if not self._down_strict[i]
-        )
+        self._up_strict = [up[i] ^ 1 << i for i in range(n)]
+        self._down_strict = [down[i] ^ 1 << i for i in range(n)]
+        self.covers = frozenset((i, j) for i, js in enumerate(above) for j in js)
+        self._cover_adj = [sum(1 << j for j in above[i] + below[i]) for i in range(n)]
+        self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
@@ -196,22 +222,50 @@ class FinitePoset:
         return self._up[x] & self._down[y]
 
     def indices_of(self, labels: Iterable[tuple]) -> frozenset[int]:
-        return frozenset(self.index[lab] for lab in labels)
+        """Indices of the labelled elements; ValueError names any label that
+        is not in the poset."""
+        index = self.index
+        labels = tuple(labels)
+        try:
+            return frozenset(map(index.__getitem__, labels))
+        except KeyError:
+            unknown = sorted(lab for lab in labels if lab not in index)
+            raise ValueError(f"elements not in the poset: {unknown}") from None
 
     def labels_of(self, indices: Iterable[int]) -> frozenset[tuple]:
         return frozenset(self.labels[i] for i in indices)
 
     def mask_of(self, members: Iterable[int]) -> int:
-        m = 0
+        """Bitmask of element indices; ValueError names any index outside
+        0..n-1."""
+        n = self.n
+        mask = 0
+        unknown = []
         for i in members:
-            m |= 1 << i
-        return m
+            if 0 <= i < n:
+                mask |= 1 << i
+            else:
+                unknown.append(i)
+        if unknown:
+            raise ValueError(f"elements not in the poset: {sorted(unknown)}")
+        return mask
 
     def members_of(self, mask: int) -> frozenset[int]:
         return frozenset(_iter_bits(mask))
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, spec={self.spec!r})"
+
+
+def _close_over(steps: list[list[int]], order: Iterable[int]) -> list[int]:
+    # reflexive-transitive closure masks; order visits every step target first
+    masks = [0] * len(steps)
+    for i in order:
+        mask = 1 << i
+        for j in steps[i]:
+            mask |= masks[j]
+        masks[i] = mask
+    return masks
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -221,8 +275,9 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= bit
 
 
-def _componentwise_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _unit_steps(label: tuple) -> list[tuple]:
+    # upper covers in every grid family: add 1 to one coordinate
+    return [label[:d] + (label[d] + 1,) + label[d + 1 :] for d in range(len(label))]
 
 
 def _root_triangle_labels(side: int) -> list[tuple[int, int]]:
@@ -241,7 +296,7 @@ def build_poset(spec: PosetSpec) -> FinitePoset:
     spec = normalize_spec(spec)
     if isinstance(spec, ChainProduct):
         labels = [(a, b) for a in range(1, spec.m + 1) for b in range(1, spec.n + 1)]
-        return FinitePoset(labels, _componentwise_leq, spec)
+        return FinitePoset(labels, _unit_steps, spec)
     if isinstance(spec, ChainProduct3):
         labels = [
             (a, b, c)
@@ -249,7 +304,7 @@ def build_poset(spec: PosetSpec) -> FinitePoset:
             for b in range(1, spec.m + 1)
             for c in range(1, spec.n + 1)
         ]
-        return FinitePoset(labels, _componentwise_leq, spec)
+        return FinitePoset(labels, _unit_steps, spec)
     if isinstance(spec, TruncatedRectangle):
         labels = [
             (a, b)
@@ -257,22 +312,29 @@ def build_poset(spec: PosetSpec) -> FinitePoset:
             for b in range(1, spec.n + 1)
             if a + b - 2 >= spec.r
         ]
-        return FinitePoset(labels, _componentwise_leq, spec)
+        return FinitePoset(labels, _unit_steps, spec)
     if isinstance(spec, TypeARoot):
-        return FinitePoset(_root_triangle_labels(spec.k + 1), _componentwise_leq, spec)
+        return FinitePoset(_root_triangle_labels(spec.k + 1), _unit_steps, spec)
     if isinstance(spec, TypeBMinuscule):
         labels = [(a, b) for a in range(1, spec.n + 1) for b in range(a, spec.n + 1)]
-        return FinitePoset(labels, _componentwise_leq, spec)
+        return FinitePoset(labels, _unit_steps, spec)
     if isinstance(spec, TypeBRoot):
         labels = [(a, b) for (a, b) in _root_triangle_labels(2 * spec.n) if a <= b]
-        return FinitePoset(labels, _componentwise_leq, spec)
+        return FinitePoset(labels, _unit_steps, spec)
     if isinstance(spec, OrdinalSumAntichains):
         labels = [
             (blk, pos)
             for blk, size in enumerate(spec.sizes, start=1)
             for pos in range(1, size + 1)
         ]
-        return FinitePoset(labels, lambda a, b: a[0] < b[0] or a == b, spec)
+        sizes = spec.sizes + (0,)  # nothing lies above the last block
+
+        def next_block(label):
+            # blocks count from 1, so sizes[blk] is the size of block blk + 1
+            blk = label[0]
+            return [(blk + 1, pos) for pos in range(1, sizes[blk] + 1)]
+
+        return FinitePoset(labels, next_block, spec)
     raise TypeError(f"not a poset spec: {spec!r}")
 
 
@@ -319,55 +381,28 @@ def filter_closure(poset: FinitePoset, members: Iterable[int]) -> frozenset[int]
 # Brute-force enumeration (the oracle)
 
 
-def _interval_interiors(poset: FinitePoset) -> list[dict[int, int]]:
-    # for each x: {bit(y): mask of z strictly between x and y} over comparable y > x
-    out = []
-    for x in range(poset.n):
-        d = {}
-        rest = poset._up_strict[x]
-        while rest:
-            ybit = rest & -rest
-            rest ^= ybit
-            y = ybit.bit_length() - 1
-            d[ybit] = poset._up_strict[x] & poset._down_strict[y]
-        out.append(d)
-    return out
-
-
 def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
     """All ICS bitmasks in ascending numeric order.
 
-    Depth-first search deciding element N-1 down to 0, exclude branch first.
-    Indexing is a linear extension, so when element k is added every element
-    between k and an already chosen y is already decided; the interval check
-    against the chosen mask is therefore complete, and any surviving leaf is
-    interval-closed.
+    Depth-first search deciding element N-1 down to 0, exclude branch first,
+    carrying two masks: below, the elements under some chosen element, and
+    forbidden, the elements under an excluded element of below.  Element k may
+    be chosen iff it is not forbidden; see the module docstring for why that
+    is exactly the interval test.
     """
-    n = poset.n
-    if n == 0:
-        yield 0
-        return
-    interiors = _interval_interiors(poset)
-    up_strict = poset._up_strict
-    stack = [(n - 1, 0)]
+    down_strict = poset._down_strict
+    stack = [(poset.n - 1, 0, 0, 0)]  # next index, chosen, below, forbidden
     while stack:
-        k, mask = stack.pop()
+        k, mask, below, forbidden = stack.pop()
         if k < 0:
             yield mask
             continue
-        chosen_above = mask & up_strict[k]
-        ok = True
-        rest = chosen_above
-        ints = interiors[k]
-        while rest:
-            ybit = rest & -rest
-            rest ^= ybit
-            if ints[ybit] & ~mask:
-                ok = False
-                break
-        if ok:
-            stack.append((k - 1, mask | (1 << k)))
-        stack.append((k - 1, mask))
+        bit = 1 << k
+        if not forbidden & bit:
+            stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
+        if below & bit:
+            forbidden |= down_strict[k]
+        stack.append((k - 1, mask, below, forbidden))
 
 
 def enumerate_ics(

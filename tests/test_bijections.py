@@ -324,3 +324,12 @@ def test_shift_map_rejections():
         shift_map(2, 2, [(1, 1)])  # misses file 2
     with pytest.raises(ValueError):
         shift_map_inverse(2, 2, [])  # empty set is not full
+
+
+def test_labels_outside_the_poset_are_value_errors():
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(3, 3\)\]$"):
+        ics_to_motzkin(2, 2, [(3, 3)])
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(0, 1\)\]$"):
+        classify_elements(ChainProduct(2, 2), [(0, 1)])
+    with pytest.raises(ValueError, match=r"not in the poset: \[\(1, 1\)\]"):
+        ics_to_walk(TypeARoot(2), [(1, 1)])

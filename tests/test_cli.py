@@ -139,6 +139,21 @@ def test_map_rejects_non_ics(capsys):
     assert "(1, 1)" in err and "(2, 2)" in err
 
 
+@pytest.mark.parametrize(
+    "spec,ics,to,unknown",
+    [
+        ("rect:2x2", "[[3,3]]", "motzkin", "[(3, 3)]"),
+        ("rect:2x2", "[[0,1],[1,1]]", "classify", "[(0, 1)]"),
+        ("rootA:2", "[[1,1]]", "walk", "[(1, 1)]"),
+        # unknown labels are reported before the family check of --to motzkin
+        ("trunc:3x3:1", "[[9,9],[0,0]]", "motzkin", "[(0, 0), (9, 9)]"),
+    ],
+)
+def test_map_rejects_unknown_elements(capsys, spec, ics, to, unknown):
+    code, out, err = run(capsys, "map", spec, ics, "--to", to)
+    assert (code, out, err) == (2, "", f"error: elements not in the poset: {unknown}\n")
+
+
 def test_map_classify_has_no_inverse(capsys):
     code, _, err = run(capsys, "map", "rect:2x2", "x", "--to", "classify", "--inverse")
     assert code == 2 and "no inverse" in err

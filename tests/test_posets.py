@@ -379,3 +379,142 @@ def test_stats_invariants():
         st_ = subset_stats(poset, s)
         assert st_.cardinality + st_.incomparable_count <= poset.n
         assert st_.component_count <= st_.cardinality
+
+
+# ---------------------------------------------------------------------------
+# cover-built order masks against the pairwise reference
+
+
+def _componentwise_leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ordinal_sum_leq(a, b):
+    return a[0] < b[0] or a == b
+
+
+def _reference_order(poset, leq_labels):
+    """Every mask, the covers, the cover adjacency and the minimal elements,
+    from O(n^2) pairwise comparisons of the labels."""
+    n = poset.n
+    up = [0] * n
+    down = [0] * n
+    for i, a in enumerate(poset.labels):
+        for j, b in enumerate(poset.labels):
+            if leq_labels(a, b):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    up_strict = [up[i] & ~(1 << i) for i in range(n)]
+    down_strict = [down[i] & ~(1 << i) for i in range(n)]
+    covers = set()
+    adj = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if up_strict[i] >> j & 1 and not (up_strict[i] & down_strict[j]):
+                covers.add((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    minimal = sum(1 << i for i in range(n) if not down_strict[i])
+    return up, down, up_strict, down_strict, frozenset(covers), adj, minimal
+
+
+GRID_SPECS = (
+    [ChainProduct(m, n) for m in range(5) for n in range(5)]
+    + [ChainProduct(0, 3), ChainProduct(1, 9), ChainProduct(9, 1), ChainProduct(6, 7)]
+    + [
+        TruncatedRectangle(m, n, r)
+        for m in range(6)
+        for n in range(6)
+        for r in range(min(m, n) + 1)
+    ]
+    + [TypeARoot(k) for k in range(8)]
+    + [TypeBMinuscule(n) for n in range(8)]
+    + [TypeBRoot(n) for n in range(6)]
+    + [
+        ChainProduct3(*sides)
+        for sides in [(1, 1, 1), (1, 3, 4), (3, 1, 2), (2, 3, 1), (0, 2, 2), (2, 2, 2), (2, 3, 4)]
+    ]
+)
+ORDINAL_SUM_SPECS = [
+    OrdinalSumAntichains(sizes)
+    for sizes in [(1,), (5,), (1, 1), (2, 1), (1, 3), (3, 1, 4, 2), (1,) * 6, (4, 4, 4)]
+]
+
+
+@pytest.mark.parametrize(
+    "spec,leq_labels",
+    [(spec, _componentwise_leq) for spec in GRID_SPECS]
+    + [(spec, _ordinal_sum_leq) for spec in ORDINAL_SUM_SPECS],
+    ids=str,
+)
+def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
+    poset = build_poset(spec)
+    built = (
+        poset._up,
+        poset._down,
+        poset._up_strict,
+        poset._down_strict,
+        poset.covers,
+        poset._cover_adj,
+        poset.minimal_mask,
+    )
+    assert built == _reference_order(poset, leq_labels)
+
+
+# ---------------------------------------------------------------------------
+# the oracle against brute force over every subset
+
+
+SMALL_SPECS = [
+    spec for spec in GRID_SPECS + ORDINAL_SUM_SPECS if build_poset(spec).n <= 12
+]
+
+
+def test_small_specs_cover_every_family():
+    assert {type(spec) for spec in SMALL_SPECS} == {
+        ChainProduct,
+        ChainProduct3,
+        TruncatedRectangle,
+        TypeARoot,
+        TypeBMinuscule,
+        TypeBRoot,
+        OrdinalSumAntichains,
+    }
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_oracle_matches_brute_force_in_order(spec):
+    poset = build_poset(spec)
+    brute = [
+        mask
+        for mask in range(1 << poset.n)
+        if is_interval_closed(poset, poset.members_of(mask))
+    ]
+    assert [poset.mask_of(s) for s in enumerate_ics(poset)] == brute
+    assert count_ics(poset) == len(brute)
+
+
+# ---------------------------------------------------------------------------
+# elements outside the poset
+
+
+def test_labels_outside_the_poset_are_value_errors():
+    poset = build_poset(ChainProduct(2, 2))
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(0, 1\), \(3, 3\)\]$"):
+        poset.indices_of([(1, 1), (3, 3), (0, 1)])
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(3, 3\)\]$"):
+        poset.indices_of(lab for lab in [(3, 3), (1, 2)])
+    assert poset.indices_of(lab for lab in [(1, 2), (2, 2)]) == frozenset({1, 3})
+
+
+def test_indices_outside_the_poset_are_value_errors():
+    poset = build_poset(ChainProduct(2, 2))
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[-1, 4, 7\]$"):
+        poset.mask_of([7, 0, -1, 4])
+    assert poset.mask_of(iter([0, 3])) == 0b1001
+    with pytest.raises(ValueError, match=r"not in the poset: \[7\]"):
+        subset_stats(poset, [0, 7])
+    with pytest.raises(ValueError, match=r"not in the poset: \[7\]"):
+        find_ics_violation(poset, [7])
+    with pytest.raises(ValueError, match=r"not in the poset: \[7\]"):
+        is_interval_closed(poset, [1, 7])
