@@ -40,8 +40,8 @@ from .posets import (
     FinitePoset,
     PosetSpec,
     TruncatedRectangle,
-    TypeARoot,
     build_poset,
+    family_of,
     filter_closure,
     find_ics_violation,
     ideal_closure,
@@ -73,17 +73,10 @@ _WALK_TO_PAIR = {v: k for k, v in _PAIR_TO_WALK.items()}
 def _frame(spec: PosetSpec) -> tuple[int, int, int]:
     """(m, n, r) of the ambient rectangle; TypeARoot(k) sits in [k+1] x [k+1]."""
     spec = normalize_spec(spec)
-    if isinstance(spec, ChainProduct):
-        return spec.m, spec.n, 0
-    if isinstance(spec, TruncatedRectangle):
-        return spec.m, spec.n, spec.r
-    if isinstance(spec, TypeARoot):
-        return spec.k + 1, spec.k + 1, spec.k + 1
-    raise ValueError(f"no rectangle frame for {spec}")
-
-
-def _frame_spec(m: int, n: int, r: int) -> PosetSpec:
-    return ChainProduct(m, n) if r == 0 else TruncatedRectangle(m, n, r)
+    frame = family_of(spec).frame(spec)
+    if frame is None:
+        raise ValueError(f"no rectangle frame for {spec}")
+    return frame
 
 
 def _boundary_heights(m: int, n: int, r: int, ideal: Iterable[Label]) -> list[int]:
@@ -265,7 +258,8 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
     r_eff = max(r, 0)
     upper = _ideal_from_heights(m, n, r_eff, th)
     lower = _ideal_from_heights(m, n, r_eff, bh)
-    return _frame_spec(m, n, r_eff), frozenset(upper - lower)
+    spec = ChainProduct(m, n) if r_eff == 0 else TruncatedRectangle(m, n, r_eff)
+    return spec, frozenset(upper - lower)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,6 @@ import json
 import sys
 
 from . import bijections, paths, posets, series, verify
-from .posets import (
-    ChainProduct,
-    ChainProduct3,
-    OrdinalSumAntichains,
-    TruncatedRectangle,
-    TypeARoot,
-    TypeBMinuscule,
-    TypeBRoot,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,30 +41,17 @@ class VerificationFailure(RuntimeError):
 
 def parse_poset_spec(text: str) -> posets.PosetSpec:
     kind, _, rest = text.partition(":")
+    family = posets.FAMILY_BY_PREFIX.get(kind)
+    if family is None:
+        raise ValueError(f"bad poset spec {text!r}: unknown family {kind!r}")
     try:
-        if kind == "rect":
-            m, n = (int(p) for p in rest.split("x"))
-            return posets.normalize_spec(ChainProduct(m, n))
-        if kind == "trunc":
-            dims, _, r = rest.partition(":")
-            m, n = (int(p) for p in dims.split("x"))
-            return posets.normalize_spec(TruncatedRectangle(m, n, int(r)))
-        if kind == "rootA":
-            return posets.normalize_spec(TypeARoot(int(rest)))
-        if kind == "minB":
-            return posets.normalize_spec(TypeBMinuscule(int(rest)))
-        if kind == "rootB":
-            return posets.normalize_spec(TypeBRoot(int(rest)))
-        if kind == "ordsum":
-            return posets.normalize_spec(
-                OrdinalSumAntichains(int(p) for p in rest.split("+"))
-            )
-        if kind == "cube":
-            l, m, n = (int(p) for p in rest.split("x"))
-            return posets.normalize_spec(ChainProduct3(l, m, n))
+        spec = family.parse(rest)
+    except ValueError:
+        raise ValueError(f"bad poset spec {text!r}: expected {family.form}") from None
+    try:
+        return family.check(spec)
     except ValueError as exc:
         raise ValueError(f"bad poset spec {text!r}: {exc}") from None
-    raise ValueError(f"bad poset spec {text!r}: unknown family {kind!r}")
 
 
 def parse_ics_json(text: str) -> frozenset[tuple]:
@@ -106,62 +84,30 @@ def format_labels(labels) -> str:
 # count
 
 
-def _formula_count(spec) -> int | None:
-    if isinstance(spec, OrdinalSumAntichains):
-        return series.closed_form_count("ordinal_sum", spec.sizes)
-    if isinstance(spec, TruncatedRectangle) and spec.r == 0:
-        spec = ChainProduct(spec.m, spec.n)
-    if isinstance(spec, ChainProduct):
-        m, n = sorted((spec.m, spec.n))
-        if m <= 1:
-            return series.closed_form_count("chain", n if m else 0)
-        if m == 2:
-            return series.closed_form_count("two_by_n", n)
-        if m == 3:
-            return series.closed_form_count("three_by_n", n)
-    return None
-
-
-def _series_count(spec) -> int | None:
-    if isinstance(spec, ChainProduct):
-        return series.rectangle_counts(spec.m, spec.n)[(spec.m, spec.n)]
-    if isinstance(spec, TruncatedRectangle):
-        return series.truncated_counts(spec.m, spec.n)[(spec.m, spec.n, spec.r)]
-    if isinstance(spec, TypeARoot):
-        return series.typeA_counts(spec.k + 1)
-    if isinstance(spec, TypeBMinuscule):
-        return series.b_minuscule_counts(spec.n)[spec.n]
-    if isinstance(spec, TypeBRoot):
-        return series.b_root_counts(spec.n)
-    return None
-
-
 def cmd_count(args) -> int:
     spec = parse_poset_spec(args.spec)
+    family = posets.family_of(spec)
     method = args.method
     results: dict[str, int] = {}
     if method in ("oracle", "all"):
         if method == "oracle" or posets.build_poset(spec).n <= posets.ICS_ENUMERATION_BOUND:
             results["oracle"] = posets.count_ics(posets.build_poset(spec))
-    if method in ("formula", "all"):
-        value = _formula_count(spec)
-        if value is not None:
-            results["formula"] = value
-        elif method == "formula":
-            raise ValueError(f"no closed formula for {args.spec}")
-    if method in ("series", "all"):
-        value = _series_count(spec)
-        if value is not None:
-            results["series"] = value
-        elif method == "series":
-            raise ValueError(f"no series engine for {args.spec}")
+    for name, engine, missing in (
+        ("formula", family.formula, "no closed formula"),
+        ("series", family.series, "no series engine"),
+    ):
+        if method in (name, "all"):
+            value = engine(spec)
+            if value is not None:
+                results[name] = value
+            elif method == name:
+                raise ValueError(f"{missing} for {args.spec}")
     if not results:
         raise ValueError(f"no applicable counting method for {args.spec}")
-    ordered = [k for k in ("oracle", "formula", "series") if k in results]
     if args.json:
-        print(json.dumps({"spec": args.spec, "counts": {k: str(results[k]) for k in ordered}}))
+        print(json.dumps({"spec": args.spec, "counts": {k: str(v) for k, v in results.items()}}))
     else:
-        print(", ".join(str(results[k]) for k in ordered))
+        print(", ".join(str(v) for v in results.values()))
     if len(set(results.values())) > 1:
         raise VerificationFailure(f"methods disagree: {results}")
     return EXIT_OK
@@ -219,6 +165,16 @@ def cmd_stats(args) -> int:
 # map
 
 
+def _map_frame(args, spec) -> tuple[int, int, int]:
+    """The spec's rectangle frame (m, n, r); Motzkin images need r = 0."""
+    frame = posets.family_of(spec).frame(spec)
+    if args.to == "motzkin" and (frame is None or frame[2] != 0):
+        raise ValueError("Motzkin images are defined for rect:MxN specs")
+    if frame is None:
+        raise ValueError(f"no rectangle frame for {args.spec}")
+    return frame
+
+
 def cmd_map(args) -> int:
     spec = parse_poset_spec(args.spec)
     if args.inverse:
@@ -226,13 +182,9 @@ def cmd_map(args) -> int:
     poset = posets.build_poset(spec)
     labels = parse_ics_json(args.input)
     poset.indices_of(labels)  # unknown labels exit 2 before any family check
+    m, n, _ = _map_frame(args, spec)
     if args.to == "motzkin":
-        if not isinstance(spec, ChainProduct):
-            if isinstance(spec, TruncatedRectangle) and spec.r == 0:
-                spec = ChainProduct(spec.m, spec.n)
-            else:
-                raise ValueError("Motzkin images are defined for rect:MxN specs")
-        word = bijections.ics_to_motzkin(spec.m, spec.n, labels, poset)
+        word = bijections.ics_to_motzkin(m, n, labels, poset)
         print(paths.motzkin_to_text(word))
     elif args.to == "walk":
         walk = bijections.ics_to_walk(spec, labels, poset)
@@ -250,27 +202,22 @@ def cmd_map(args) -> int:
 
 
 def _cmd_map_inverse(args, spec) -> int:
+    if args.to == "classify":
+        raise ValueError("classification has no inverse")
+    m, n, r = _map_frame(args, spec)
     if args.to == "motzkin":
-        if not isinstance(spec, ChainProduct):
-            raise ValueError("Motzkin images are defined for rect:MxN specs")
         word = paths.motzkin_from_text(args.input)
-        m, n, labels = bijections.motzkin_to_ics(word)
-        if (m, n) != (spec.m, spec.n):
-            raise ValueError(
-                f"word has shape ({m}, {n}), spec asks for ({spec.m}, {spec.n})"
-            )
-        print(format_labels(labels))
-        return EXIT_OK
-    if args.to == "walk":
-        m, n, r = bijections._frame(spec)
+        wm, wn, labels = bijections.motzkin_to_ics(word)
+        if (wm, wn) != (m, n):
+            raise ValueError(f"word has shape ({wm}, {wn}), spec asks for ({m}, {n})")
+    else:
         walk = paths.walk_from_text(n - r, args.input)
         frame = bijections.walk_frame(walk)
         if frame != (m, n, r):
             raise ValueError(f"walk frame {frame} does not match spec frame {(m, n, r)}")
         _, labels = bijections.walk_to_ics(walk)
-        print(format_labels(labels))
-        return EXIT_OK
-    raise ValueError("classification has no inverse")
+    print(format_labels(labels))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

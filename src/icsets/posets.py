@@ -5,7 +5,7 @@ x, y are in I and x < z < y, then z is in I.  Equivalently, I contains the
 whole order interval between any two of its comparable elements.  Order
 ideals and order filters are special cases.
 
-Poset families built here:
+Poset families built here, one row of FAMILIES each:
 
   ChainProduct(m, n)          [m] x [n]: pairs (a, b), componentwise order
   ChainProduct3(l, m, n)      [l] x [m] x [n]: triples, componentwise order
@@ -63,7 +63,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from . import series
 
 ICS_ENUMERATION_BOUND = 30
 
@@ -130,38 +132,155 @@ PosetSpec = (
 )
 
 
+@dataclass(frozen=True)
+class Family:
+    """One poset family, described once: modules that treat families
+    differently read these fields instead of testing a spec's class.  The
+    engines look series functions up at call time, so patching the series
+    module reaches them."""
+
+    spec_class: type
+    form: str  # CLI text form; the part before the colon is the prefix
+    parse: Callable[[str], PosetSpec]  # text after the colon; ValueError if malformed
+    check: Callable[[PosetSpec], PosetSpec]  # validated, normalised; ValueError if out of range
+    labels: Callable[[PosetSpec], list[tuple]]  # element labels of a checked spec
+    # spec -> (label -> labels covering it; those outside the poset are dropped)
+    upper_covers: Callable = lambda spec: _unit_steps
+    # (m, n, r): [m] x [n] minus its bottom r ranks, where the path maps apply
+    frame: Callable[[PosetSpec], tuple[int, int, int] | None] = lambda spec: None
+    formula: Callable[[PosetSpec], int | None] = lambda spec: None  # closed-formula count
+    series: Callable[[PosetSpec], int | None] = lambda spec: None  # generating-function count
+
+
+def _ints(text: str, *separators: str) -> list[int]:
+    """Integers between the separators, in order; a missing one leaves "" for int() to reject."""
+    fields = []
+    for sep in separators:
+        head, _, text = text.partition(sep)
+        fields.append(head)
+    return [int(f) for f in fields + [text]]
+
+
+def _nonnegative(name: str):
+    # check for specs whose integer fields must all be >= 0
+    def check(spec):
+        if min(vars(spec).values()) < 0:
+            raise ValueError(f"{name} needs {', '.join(vars(spec))} >= 0, got {spec}")
+        return spec
+
+    return check
+
+
+def _check_truncated(spec: TruncatedRectangle) -> TruncatedRectangle:
+    if spec.m < 0 or spec.n < 0:
+        raise ValueError(f"truncated rectangle needs m, n >= 0, got {spec}")
+    if spec.r > min(spec.m, spec.n):
+        raise ValueError(
+            f"truncation depth r={spec.r} exceeds min(m, n)={min(spec.m, spec.n)}"
+        )
+    return TruncatedRectangle(spec.m, spec.n, max(spec.r, 0))
+
+
+def _check_ordinal_sum(spec: OrdinalSumAntichains) -> OrdinalSumAntichains:
+    if any(a <= 0 for a in spec.sizes):
+        raise ValueError(f"antichain sizes must be positive, got {spec.sizes}")
+    return spec
+
+
+def _box(*sides: int) -> list[tuple]:
+    return list(itertools.product(*(range(1, s + 1) for s in sides)))
+
+
+def _truncated_box(m: int, n: int, r: int) -> list[tuple[int, int]]:
+    # [m] x [n] without its bottom r ranks (the rank of (a, b) is a + b - 2)
+    return [(a, b) for a, b in _box(m, n) if a + b - 2 >= r]
+
+
+def _next_block(spec: OrdinalSumAntichains):
+    # every element of the next block covers the label; positions beyond that
+    # block's size, and blocks beyond the last, are not labels and are dropped
+    positions = range(1, max(spec.sizes, default=0) + 1)
+    return lambda label: [(label[0] + 1, pos) for pos in positions]
+
+
+def _rectangle_formula(m: int, n: int) -> int | None:
+    # closed forms exist while the shorter side is at most 3 (0 and 1: chains)
+    m, n = sorted((m, n))
+    if m > 3:
+        return None
+    return series.closed_form_count(("chain", "chain", "two_by_n", "three_by_n")[m], n if m else 0)
+
+
+FAMILIES = (
+    Family(
+        ChainProduct, "rect:MxN",
+        parse=lambda text: ChainProduct(*_ints(text, "x")),
+        check=_nonnegative("chain product"),
+        labels=lambda s: _box(s.m, s.n),
+        frame=lambda s: (s.m, s.n, 0),
+        formula=lambda s: _rectangle_formula(s.m, s.n),
+        series=lambda s: series.rectangle_counts(s.m, s.n)[(s.m, s.n)],
+    ),
+    Family(
+        TruncatedRectangle, "trunc:MxN:R",
+        parse=lambda text: TruncatedRectangle(*_ints(text, "x", ":")),
+        check=_check_truncated,
+        labels=lambda s: _truncated_box(s.m, s.n, s.r),
+        frame=lambda s: (s.m, s.n, s.r),
+        formula=lambda s: _rectangle_formula(s.m, s.n) if s.r == 0 else None,
+        series=lambda s: series.truncated_counts(s.m, s.n)[(s.m, s.n, s.r)],
+    ),
+    Family(
+        TypeARoot, "rootA:K",
+        parse=lambda text: TypeARoot(*_ints(text)),
+        check=_nonnegative("root triangle"),
+        labels=lambda s: _truncated_box(s.k + 1, s.k + 1, s.k + 1),
+        frame=lambda s: (s.k + 1, s.k + 1, s.k + 1),
+        series=lambda s: series.typeA_counts(s.k + 1),
+    ),
+    Family(
+        TypeBMinuscule, "minB:N",
+        parse=lambda text: TypeBMinuscule(*_ints(text)),
+        check=_nonnegative("TypeBMinuscule"),
+        labels=lambda s: [(a, b) for a, b in _box(s.n, s.n) if a <= b],
+        series=lambda s: series.b_minuscule_counts(s.n)[s.n],
+    ),
+    Family(
+        TypeBRoot, "rootB:N",
+        parse=lambda text: TypeBRoot(*_ints(text)),
+        check=_nonnegative("TypeBRoot"),
+        labels=lambda s: [(a, b) for a, b in _truncated_box(2 * s.n, 2 * s.n, 2 * s.n) if a <= b],
+        series=lambda s: series.b_root_counts(s.n),
+    ),
+    Family(
+        OrdinalSumAntichains, "ordsum:2+3+1",
+        parse=lambda text: OrdinalSumAntichains(int(a) for a in text.split("+")),
+        check=_check_ordinal_sum,
+        labels=lambda s: [(blk, pos) for blk, size in enumerate(s.sizes, 1) for pos in range(1, size + 1)],
+        upper_covers=_next_block,
+        formula=lambda s: series.closed_form_count("ordinal_sum", s.sizes),
+    ),
+    Family(
+        ChainProduct3, "cube:LxMxN",
+        parse=lambda text: ChainProduct3(*_ints(text, "x", "x")),
+        check=_nonnegative("chain product"),
+        labels=lambda s: _box(s.l, s.m, s.n),
+    ),
+)
+FAMILY_BY_PREFIX = {family.form.partition(":")[0]: family for family in FAMILIES}
+_FAMILY_BY_CLASS = {family.spec_class: family for family in FAMILIES}
+
+
+def family_of(spec: PosetSpec) -> Family:
+    try:
+        return _FAMILY_BY_CLASS[type(spec)]
+    except KeyError:
+        raise TypeError(f"not a poset spec: {spec!r}") from None
+
+
 def normalize_spec(spec: PosetSpec) -> PosetSpec:
     """Validate parameters and apply conventions (negative truncation -> 0)."""
-    if isinstance(spec, ChainProduct):
-        if spec.m < 0 or spec.n < 0:
-            raise ValueError(f"chain product needs m, n >= 0, got {spec}")
-        return spec
-    if isinstance(spec, ChainProduct3):
-        if min(spec.l, spec.m, spec.n) < 0:
-            raise ValueError(f"chain product needs l, m, n >= 0, got {spec}")
-        return spec
-    if isinstance(spec, TruncatedRectangle):
-        if spec.m < 0 or spec.n < 0:
-            raise ValueError(f"truncated rectangle needs m, n >= 0, got {spec}")
-        r = max(spec.r, 0)
-        if r > min(spec.m, spec.n):
-            raise ValueError(
-                f"truncation depth r={spec.r} exceeds min(m, n)={min(spec.m, spec.n)}"
-            )
-        return TruncatedRectangle(spec.m, spec.n, r)
-    if isinstance(spec, TypeARoot):
-        if spec.k < 0:
-            raise ValueError(f"root triangle needs k >= 0, got {spec}")
-        return spec
-    if isinstance(spec, (TypeBMinuscule, TypeBRoot)):
-        if spec.n < 0:
-            raise ValueError(f"{type(spec).__name__} needs n >= 0, got {spec}")
-        return spec
-    if isinstance(spec, OrdinalSumAntichains):
-        if any(a <= 0 for a in spec.sizes):
-            raise ValueError(f"antichain sizes must be positive, got {spec.sizes}")
-        return spec
-    raise TypeError(f"not a poset spec: {spec!r}")
+    return family_of(spec).check(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +291,7 @@ class FinitePoset:
     """A finite poset over indexed elements with precomputed order masks.
 
     labels[i] is the coordinate label of element i; covers is the transitive
-    reduction as a frozenset of (lower, upper) index pairs.  up_mask(i) /
-    down_mask(i) are reflexive principal filter/ideal bitmasks, and
-    interval_mask(x, y) is the bitmask of {z : x <= z <= y}.
+    reduction as a frozenset of (lower, upper) index pairs.
 
     upper_covers(label) names the labels that cover label; names outside the
     label set are dropped.  Sorted label order must be a linear extension, so
@@ -209,18 +326,6 @@ class FinitePoset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
 
-    def up_mask(self, i: int) -> int:
-        return self._up[i]
-
-    def down_mask(self, i: int) -> int:
-        return self._down[i]
-
-    def interval_mask(self, x: int, y: int) -> int:
-        """Bitmask of {z : x <= z <= y}; empty when x and y are incomparable."""
-        if not self.leq(x, y):
-            return 0
-        return self._up[x] & self._down[y]
-
     def indices_of(self, labels: Iterable[tuple]) -> frozenset[int]:
         """Indices of the labelled elements; ValueError names any label that
         is not in the poset."""
@@ -229,11 +334,15 @@ class FinitePoset:
         try:
             return frozenset(map(index.__getitem__, labels))
         except KeyError:
-            unknown = sorted(lab for lab in labels if lab not in index)
-            raise ValueError(f"elements not in the poset: {unknown}") from None
+            raise _not_in_poset(lab for lab in labels if lab not in index) from None
 
     def labels_of(self, indices: Iterable[int]) -> frozenset[tuple]:
-        return frozenset(self.labels[i] for i in indices)
+        """Labels of the indexed elements; ValueError names indices outside 0..n-1."""
+        labels = self.labels
+        indices = sorted(indices)
+        if indices and (indices[0] < 0 or indices[-1] >= self.n):
+            raise _not_in_poset(i for i in indices if not 0 <= i < self.n)
+        return frozenset([labels[i] for i in indices])
 
     def mask_of(self, members: Iterable[int]) -> int:
         """Bitmask of element indices; ValueError names any index outside
@@ -247,7 +356,7 @@ class FinitePoset:
             else:
                 unknown.append(i)
         if unknown:
-            raise ValueError(f"elements not in the poset: {sorted(unknown)}")
+            raise _not_in_poset(unknown)
         return mask
 
     def members_of(self, mask: int) -> frozenset[int]:
@@ -255,6 +364,10 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, spec={self.spec!r})"
+
+
+def _not_in_poset(elements: Iterable) -> ValueError:
+    return ValueError(f"elements not in the poset: {sorted(elements)}")
 
 
 def _close_over(steps: list[list[int]], order: Iterable[int]) -> list[int]:
@@ -280,62 +393,12 @@ def _unit_steps(label: tuple) -> list[tuple]:
     return [label[:d] + (label[d] + 1,) + label[d + 1 :] for d in range(len(label))]
 
 
-def _root_triangle_labels(side: int) -> list[tuple[int, int]]:
-    # ambient coordinates of [side] x [side] with the bottom `side` ranks cut
-    return [
-        (a, b)
-        for a in range(1, side + 1)
-        for b in range(1, side + 1)
-        if a + b - 2 >= side
-    ]
-
-
 @lru_cache(maxsize=128)
 def build_poset(spec: PosetSpec) -> FinitePoset:
     """Build the poset described by spec; see the module docstring for families."""
-    spec = normalize_spec(spec)
-    if isinstance(spec, ChainProduct):
-        labels = [(a, b) for a in range(1, spec.m + 1) for b in range(1, spec.n + 1)]
-        return FinitePoset(labels, _unit_steps, spec)
-    if isinstance(spec, ChainProduct3):
-        labels = [
-            (a, b, c)
-            for a in range(1, spec.l + 1)
-            for b in range(1, spec.m + 1)
-            for c in range(1, spec.n + 1)
-        ]
-        return FinitePoset(labels, _unit_steps, spec)
-    if isinstance(spec, TruncatedRectangle):
-        labels = [
-            (a, b)
-            for a in range(1, spec.m + 1)
-            for b in range(1, spec.n + 1)
-            if a + b - 2 >= spec.r
-        ]
-        return FinitePoset(labels, _unit_steps, spec)
-    if isinstance(spec, TypeARoot):
-        return FinitePoset(_root_triangle_labels(spec.k + 1), _unit_steps, spec)
-    if isinstance(spec, TypeBMinuscule):
-        labels = [(a, b) for a in range(1, spec.n + 1) for b in range(a, spec.n + 1)]
-        return FinitePoset(labels, _unit_steps, spec)
-    if isinstance(spec, TypeBRoot):
-        labels = [(a, b) for (a, b) in _root_triangle_labels(2 * spec.n) if a <= b]
-        return FinitePoset(labels, _unit_steps, spec)
-    if isinstance(spec, OrdinalSumAntichains):
-        labels = [
-            (blk, pos)
-            for blk, size in enumerate(spec.sizes, start=1)
-            for pos in range(1, size + 1)
-        ]
-        sizes = spec.sizes + (0,)  # nothing lies above the last block
-
-        def next_block(label):
-            # blocks count from 1, so sizes[blk] is the size of block blk + 1
-            blk = label[0]
-            return [(blk + 1, pos) for pos in range(1, sizes[blk] + 1)]
-
-        return FinitePoset(labels, next_block, spec)
-    raise TypeError(f"not a poset spec: {spec!r}")
+    family = family_of(spec)
+    spec = family.check(spec)
+    return FinitePoset(family.labels(spec), family.upper_covers(spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +507,9 @@ class Involution:
 
 def make_involution(poset: FinitePoset, label_map) -> Involution:
     """Wrap a label-level map as a validated Involution on poset indices."""
-    perm = tuple(poset.index[label_map(lab)] for lab in poset.labels)
+    images = [label_map(lab) for lab in poset.labels]
+    poset.indices_of(images)  # ValueError names the images outside the poset
+    perm = tuple(map(poset.index.__getitem__, images))
     inv = Involution(perm)
     _check_involution(poset, inv)
     return inv
@@ -464,14 +529,11 @@ def _check_involution(poset: FinitePoset, sigma: Involution) -> None:
 
 
 def vertical_involution(spec: PosetSpec) -> Involution:
-    """Coordinate swap (a, b) -> (b, a) on a square chain product or root triangle."""
+    """Coordinate swap (a, b) -> (b, a) on a spec whose rectangle frame is square."""
     spec = normalize_spec(spec)
-    if isinstance(spec, ChainProduct) and spec.m == spec.n:
-        pass
-    elif isinstance(spec, TypeARoot):
-        pass
-    else:
-        raise ValueError(f"vertical involution needs a square rectangle or root triangle, got {spec}")
+    frame = family_of(spec).frame(spec)
+    if frame is None or frame[0] != frame[1]:
+        raise ValueError(f"vertical involution needs a square rectangle frame, got {spec}")
     return make_involution(build_poset(spec), lambda lab: (lab[1], lab[0]))
 
 

@@ -207,11 +207,6 @@ class TruncatedSeries:
             out[shifted] = c
         return self._like(out)
 
-    def substitute_zero(self, name: str) -> "TruncatedSeries":
-        """Set one variable to zero (keep only its exponent-0 slice)."""
-        k = self.variables.index(name)
-        return self._like({e: c for e, c in self.coeffs.items() if e[k] == 0})
-
     def to_json_dict(self) -> dict:
         terms = [
             {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}

@@ -9,34 +9,16 @@ import time
 from fractions import Fraction
 
 from icsets import bijections, paths, posets, series
-
-TYPE_A = [1, 2, 8, 45, 307, 2385, 20362, 186812, 1814156, 18448851]
-B_MINUSCULE = [2, 7, 26, 96, 356, 1331, 5014, 19006, 72412, 277058]
-B_ROOT = [2, 13, 115, 1166, 12883, 150912, 1844322, 23276741, 301289155]
-THREE_CHAIN = {
-    (2, 2, 2): 101,
-    (2, 2, 3): 526,
-    (2, 2, 4): 2085,
-    (2, 2, 5): 6793,
-    (2, 3, 3): 5030,
-    (2, 3, 4): 33792,
-}
-
-RECT_ICS = frozenset(
-    [
-        (1, 13), (2, 13), (3, 13), (2, 12), (3, 12), (2, 11), (3, 11),
-        (6, 9), (7, 9), (8, 9), (7, 8), (8, 8), (7, 7), (8, 7),
-        (7, 6), (8, 6), (9, 6), (11, 4), (11, 3), (11, 2),
-    ]
-)
-RECT_WORD = "2 U 1 U 2 D D 1 1 2 U 1 U 2 2 D 1 D 1 2 U 2 2 D 1 1 2"
-TRIANGLE_ICS = frozenset([(3, 5), (3, 6), (6, 3)])
-TRIANGLE_WALK = "e e nw w se e e w nw se w w"
-TRUNCATED_ICS = frozenset(
-    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]
-)
-TRUNCATED_WALK = "nw w nw w se e nw se se"
-
+from icsets.verify import B_MINUSCULE_SEQUENCE as B_MINUSCULE
+from icsets.verify import B_ROOT_SEQUENCE as B_ROOT
+from icsets.verify import RECT_EXAMPLE_ICS as RECT_ICS
+from icsets.verify import RECT_EXAMPLE_WORD as RECT_WORD
+from icsets.verify import THREE_CHAIN_TABLE as THREE_CHAIN
+from icsets.verify import TRUNCATED_EXAMPLE_ICS as TRUNCATED_ICS
+from icsets.verify import TRUNCATED_EXAMPLE_WALK as TRUNCATED_WALK
+from icsets.verify import TYPE_A_EXAMPLE_ICS as TRIANGLE_ICS
+from icsets.verify import TYPE_A_EXAMPLE_WALK as TRIANGLE_WALK
+from icsets.verify import TYPE_A_SEQUENCE as TYPE_A
 
 class _Timer:
     def __init__(self, criterion, budget):

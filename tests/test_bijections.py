@@ -37,29 +37,20 @@ from icsets.posets import (
     enumerate_ics,
     subset_stats,
 )
+from icsets.verify import RECT_EXAMPLE_ICS as RECT_ICS
+from icsets.verify import RECT_EXAMPLE_WORD as RECT_M
+from icsets.verify import TRUNCATED_EXAMPLE_ICS as TRUNCATED_ICS
+from icsets.verify import TRUNCATED_EXAMPLE_WALK as TRUNCATED_W
+from icsets.verify import TYPE_A_EXAMPLE_ICS as TRIANGLE_ICS
+from icsets.verify import TYPE_A_EXAMPLE_WALK as TRIANGLE_W
 
-RECT_ICS = frozenset(
-    [
-        (1, 13), (2, 13), (3, 13), (2, 12), (3, 12), (2, 11), (3, 11),
-        (6, 9), (7, 9), (8, 9), (7, 8), (8, 8), (7, 7), (8, 7),
-        (7, 6), (8, 6), (9, 6), (11, 4), (11, 3), (11, 2),
-    ]
-)
+# the bounding paths T (top) and B (bottom) of the worked examples
 RECT_T = "DUUUDDDUUDUUUDDDUDUDUDDDUUD"
 RECT_B = "DDUDDUUUUDDUDDDUUUUDDDDUUUD"
-RECT_M = "2 U 1 U 2 D D 1 1 2 U 1 U 2 2 D 1 D 1 2 U 2 2 D 1 1 2"
-
-TRIANGLE_ICS = frozenset([(3, 5), (3, 6), (6, 3)])
 TRIANGLE_T = "UUUDDUUDUDDD"
 TRIANGLE_B = "UUDDUUUDDUDD"
-TRIANGLE_W = "e e nw w se e e w nw se w w"
-
-TRUNCATED_ICS = frozenset(
-    [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]
-)
 TRUNCATED_T = "UDUDDUUDD"
 TRUNCATED_B = "DDDDUUDUU"
-TRUNCATED_W = "nw w nw w se e nw se se"
 
 
 # ---------------------------------------------------------------------------

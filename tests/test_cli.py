@@ -1,10 +1,11 @@
 """Command-line surface: output contracts, encodings, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from icsets import series, verify
+from icsets import cli, posets, series, verify
 from icsets.cli import main, parse_ics_json, parse_poset_spec
 from icsets.posets import ChainProduct, OrdinalSumAntichains, TruncatedRectangle, TypeARoot
 
@@ -82,6 +83,40 @@ def test_count_bad_spec(capsys):
     assert code == 2 and "bad poset spec" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("count", "rect:2x3x4"), "bad poset spec 'rect:2x3x4': expected rect:MxN"),
+        (("count", "rect:2x"), "bad poset spec 'rect:2x': expected rect:MxN"),
+        (("count", "trunc:2x2"), "bad poset spec 'trunc:2x2': expected trunc:MxN:R"),
+        (("count", "cube:1x2"), "bad poset spec 'cube:1x2': expected cube:LxMxN"),
+        (("count", "ordsum:"), "bad poset spec 'ordsum:': expected ordsum:2+3+1"),
+        (("count", "ordsum:1++2"), "bad poset spec 'ordsum:1++2': expected ordsum:2+3+1"),
+        (("count", "rootA:x"), "bad poset spec 'rootA:x': expected rootA:K"),
+        (("count", "rootA:3:4"), "bad poset spec 'rootA:3:4': expected rootA:K"),
+        # range checks keep their own texts
+        (
+            ("count", "trunc:2x2:5"),
+            "bad poset spec 'trunc:2x2:5': truncation depth r=5 exceeds min(m, n)=2",
+        ),
+        (("map", "minB:2", "", "--to", "walk"), "no rectangle frame for minB:2"),
+        (("map", "ordsum:1+1", "[]", "--to", "classify"), "no rectangle frame for ordsum:1+1"),
+        (("map", "rootB:2", "e w", "--to", "walk", "--inverse"), "no rectangle frame for rootB:2"),
+    ],
+)
+def test_bad_specs_are_named_as_typed(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_spec_forms_are_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert {f.spec_class for f in posets.FAMILIES} == set(posets.PosetSpec.__args__)
+    assert len(posets.FAMILY_BY_PREFIX) == len(posets.FAMILIES)
+    for family in posets.FAMILIES:
+        assert f"| `{family.form}` |" in readme, family.form
+        assert f"\n  {family.form} " in cli.__doc__, family.form
+
+
 # ---------------------------------------------------------------------------
 # map
 
@@ -120,6 +155,16 @@ def test_map_motzkin_inverse_roundtrip(capsys):
     word = out.strip()
     code, out, _ = run(capsys, "map", "rect:2x3", word, "--to", "motzkin", "--inverse")
     assert code == 0 and json.loads(out) == [[1, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("dims,ics", [("1x1", "[[1,1]]"), ("2x3", "[[1,2],[1,3]]")])
+def test_map_truncation_zero_has_motzkin_images(capsys, dims, ics):
+    # trunc:MxN:0 is the rectangle: the same word as rect:MxN, and it maps back
+    code, word, _ = run(capsys, "map", f"rect:{dims}", ics, "--to", "motzkin")
+    assert code == 0
+    spec = f"trunc:{dims}:0"
+    assert run(capsys, "map", spec, ics, "--to", "motzkin") == (0, word, "")
+    assert run(capsys, "map", spec, word.strip(), "--to", "motzkin", "--inverse") == (0, ics + "\n", "")
 
 
 def test_map_classify(capsys):

@@ -25,8 +25,9 @@ from icsets.paths import (
     walk_to_text,
 )
 from icsets.posets import ChainProduct, TruncatedRectangle, build_poset, count_ics
+from icsets.verify import RECT_EXAMPLE_WORD as RUNNING_EXAMPLE_WORD
+from icsets.verify import TRUNCATED_EXAMPLE_WALK, TYPE_A_EXAMPLE_WALK
 
-RUNNING_EXAMPLE_WORD = "2 U 1 U 2 D D 1 1 2 U 1 U 2 2 D 1 D 1 2 U 2 2 D 1 1 2"
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +131,15 @@ def test_validate_walk_basics():
     assert not validate_walk(QuarterWalk(0, ["SE"])).valid
     assert not validate_walk(QuarterWalk(1, ["W", "E"])).valid  # W on axis then E
     assert validate_walk(QuarterWalk(1, ["NW", "SE"])).valid
-    v = validate_walk(walk_from_text(4, "nw w nw w se e nw se se"))
+    v = validate_walk(walk_from_text(4, TRUNCATED_EXAMPLE_WALK))
     assert v.valid and v.endpoint == (3, 0)
 
 
 def test_walk_stats_examples():
-    triangle_walk = walk_from_text(0, "e e nw w se e e w nw se w w")
+    triangle_walk = walk_from_text(0, TYPE_A_EXAMPLE_WALK)
     s = walk_stats(triangle_walk)
     assert (s.height_sum, s.x_axis_returns, s.y_axis_returns_excl_last) == (3, 2, 1)
-    truncated_walk = walk_from_text(4, "nw w nw w se e nw se se")
+    truncated_walk = walk_from_text(4, TRUNCATED_EXAMPLE_WALK)
     s = walk_stats(truncated_walk)
     assert (s.height_sum, s.x_axis_returns, s.y_axis_returns_excl_last) == (11, 1, 1)
     # the final W lands on the y-axis but is excluded

@@ -303,6 +303,16 @@ def test_vertical_involution_examples():
         vertical_involution(TypeBMinuscule(3))
 
 
+@pytest.mark.parametrize("spec", [TruncatedRectangle(3, 3, 1), TruncatedRectangle(4, 4, 2)], ids=str)
+def test_vertical_involution_on_square_truncated_rectangles(spec):
+    # every family with a square rectangle frame is mirror-symmetric
+    poset = build_poset(spec)
+    sigma = vertical_involution(spec)
+    assert all(poset.labels[sigma(i)] == poset.labels[i][::-1] for i in range(poset.n))
+    fixed = [s for s in enumerate_ics(poset) if {sigma(i) for i in s} == s]
+    assert enumerate_symmetric_ics(poset, sigma) == len(fixed)
+
+
 def test_involution_validation():
     chain = build_poset(ChainProduct(1, 3))
     with pytest.raises(ValueError):
@@ -505,6 +515,8 @@ def test_labels_outside_the_poset_are_value_errors():
     with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(3, 3\)\]$"):
         poset.indices_of(lab for lab in [(3, 3), (1, 2)])
     assert poset.indices_of(lab for lab in [(1, 2), (2, 2)]) == frozenset({1, 3})
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(6, 1\), \(6, 2\), \(7, 1\), \(7, 2\)\]$"):
+        make_involution(poset, lambda lab: (lab[1] + 5, lab[0]))
 
 
 def test_indices_outside_the_poset_are_value_errors():
@@ -518,3 +530,8 @@ def test_indices_outside_the_poset_are_value_errors():
         find_ics_violation(poset, [7])
     with pytest.raises(ValueError, match=r"not in the poset: \[7\]"):
         is_interval_closed(poset, [1, 7])
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[7\]$"):
+        poset.labels_of([7])
+    with pytest.raises(ValueError, match=r"^elements not in the poset: \[-1\]$"):
+        poset.labels_of([0, -1])
+    assert poset.labels_of(iter([0, 3])) == frozenset({(1, 1), (2, 2)})

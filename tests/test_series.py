@@ -43,10 +43,10 @@ from icsets.series import (
     walk_dp_coeffs,
     walk_dp_counts,
 )
+from icsets.verify import B_MINUSCULE_SEQUENCE as B_MINUSCULE
+from icsets.verify import B_ROOT_SEQUENCE as B_ROOT
+from icsets.verify import TYPE_A_SEQUENCE as TYPE_A
 
-TYPE_A = [1, 2, 8, 45, 307, 2385, 20362, 186812, 1814156, 18448851]
-B_MINUSCULE = [2, 7, 26, 96, 356, 1331, 5014, 19006, 72412, 277058]
-B_ROOT = [2, 13, 115, 1166, 12883, 150912, 1844322, 23276741, 301289155]
 
 
 # ---------------------------------------------------------------------------
