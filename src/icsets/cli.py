@@ -169,7 +169,7 @@ def _map_frame(args, spec) -> tuple[int, int, int]:
     """The spec's rectangle frame (m, n, r); Motzkin images need r = 0."""
     frame = posets.family_of(spec).frame(spec)
     if args.to == "motzkin" and (frame is None or frame[2] != 0):
-        raise ValueError("Motzkin images are defined for rect:MxN specs")
+        raise ValueError("Motzkin images are defined for rect:MxN and trunc:MxN:0 specs")
     if frame is None:
         raise ValueError(f"no rectangle frame for {args.spec}")
     return frame
@@ -254,17 +254,16 @@ def cmd_series(args) -> int:
         counts = [series.b_root_counts(n) for n in range(1, order + 1)]
         _print_sequence(args, counts, start=1)
     elif which == "truncated":
-        table = series.truncated_counts(order, order)
-        rows = [(m, n, r) for (m, n, r) in sorted(table) if m + n <= order]
+        table = series.truncated_counts(order, order, order)
         if args.format == "json":
             _print_integer_series(
                 ["t", "x", "z"],
-                (((n - r, m - r, m + n), table[(m, n, r)]) for (m, n, r) in rows),
+                (((n - r, m - r, m + n), c) for (m, n, r), c in table.items()),
             )
         else:
             print("m,n,r,count")
-            for m, n, r in rows:
-                print(f"{m},{n},{r},{table[(m, n, r)]}")
+            for (m, n, r), c in table.items():
+                print(f"{m},{n},{r},{c}")
     return EXIT_OK
 
 

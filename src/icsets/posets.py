@@ -152,13 +152,22 @@ class Family:
     series: Callable[[PosetSpec], int | None] = lambda spec: None  # generating-function count
 
 
+def _int(text: str) -> int:
+    """An optional ASCII '-' followed by ASCII digits; int() alone would also
+    take '+', '_', surrounding spaces and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _ints(text: str, *separators: str) -> list[int]:
-    """Integers between the separators, in order; a missing one leaves "" for int() to reject."""
+    """Integers between the separators, in order; a missing one leaves "" for _int() to reject."""
     fields = []
     for sep in separators:
         head, _, text = text.partition(sep)
         fields.append(head)
-    return [int(f) for f in fields + [text]]
+    return [_int(f) for f in fields + [text]]
 
 
 def _nonnegative(name: str):
@@ -254,7 +263,7 @@ FAMILIES = (
     ),
     Family(
         OrdinalSumAntichains, "ordsum:2+3+1",
-        parse=lambda text: OrdinalSumAntichains(int(a) for a in text.split("+")),
+        parse=lambda text: OrdinalSumAntichains(_int(a) for a in text.split("+")),
         check=_check_ordinal_sum,
         labels=lambda s: [(blk, pos) for blk, size in enumerate(s.sizes, 1) for pos in range(1, size + 1)],
         upper_covers=_next_block,

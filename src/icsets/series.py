@@ -520,47 +520,60 @@ def b_root_counts(n: int) -> int:
     return symmetric_typeA_counts(2 * n)[2 * n]
 
 
-_G_CACHE: dict[int, list[dict[tuple[int, int, int], int]]] = {}
-
-
-def _g_upto(order: int, tmax: int) -> list[dict[tuple[int, int, int], int]]:
-    _check_budget(order, tmax)
-    cache = _G_CACHE.setdefault(tmax, [{(h, h, 0): 1 for h in range(tmax + 1)}])
-    while len(cache) <= order:
-        ell = len(cache)
-        prev2 = cache[ell - 2] if ell >= 2 else {}
-        cache.append(_advance(cache[ell - 1], prev2))
-    return cache[: order + 1]
+def _g_tables(order: int, tmax: int, total: int | None = None):
+    """Yield g_0..g_order of G(t, x, y, z), holding only the two tables that
+    _advance reads.  With a total, keys whose y-exponent exceeds total - l
+    are dropped from g_l; the y = 0 coefficients up to z-order total stay
+    exact:
+      * each step lowers y by at most one (only the x/y term does);
+      * the boundary terms cancel the 1/x and x/y images of their own
+        source key, so a kept key's contribution never needs a dropped one;
+      * the prev2 term reads y = 0 only, which is never dropped.
+    So a key with y > total - l feeds only keys that are dropped as well,
+    and never a y = 0 coefficient at z-order <= total."""
+    prev2: dict[tuple[int, int, int], int] = {}
+    prev = {(h, h, 0): 1 for h in range(tmax + 1)}
+    yield prev
+    for ell in range(1, order + 1):
+        nxt = _advance(prev, prev2)
+        if total is not None:
+            nxt = {key: c for key, c in nxt.items() if key[2] <= total - ell}
+        prev2, prev = prev, nxt
+        yield prev
 
 
 def truncated_coeffs(order: int, tmax: int) -> list[CoeffPolynomial]:
     """Coefficients g_0..g_order of G(t, x, y, z): walks started at (h, 0)
     carry t^h, truncated at t-degree tmax."""
-    return [CoeffPolynomial(("t", "x", "y"), dict(g)) for g in _g_upto(order, tmax)]
+    _check_budget(order, tmax)
+    return [CoeffPolynomial(("t", "x", "y"), g) for g in _g_tables(order, tmax)]
 
 
 def truncated_counts(
-    mmax: int, nmax: int, rmax: int | None = None
+    mmax: int, nmax: int, total: int | None = None
 ) -> dict[tuple[int, int, int], int]:
     """Table of ICS counts of [m] x [n] minus its bottom r ranks, for all
-    m <= mmax, n <= nmax, r <= min(m, n, rmax), via the G recurrence: the
-    count sits at t^(n-r) x^(m-r) z^(m+n)."""
-    gs = _g_upto(mmax + nmax, nmax)
+    m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
+    r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
+    the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped only to
+    z-order total, with keys beyond the y-horizon of _g_tables dropped."""
+    total = mmax + nmax if total is None else min(total, mmax + nmax)
+    _check_budget(mmax + nmax, nmax, total)
     out = {}
-    for m in range(mmax + 1):
-        for n in range(nmax + 1):
-            rtop = min(m, n) if rmax is None else min(m, n, rmax)
-            for r in range(rtop + 1):
-                out[(m, n, r)] = gs[m + n].get((n - r, m - r, 0), 0)
-    return out
+    for ell, g in enumerate(_g_tables(total, nmax, total)):
+        for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
+            n = ell - m
+            for r in range(min(m, n) + 1):
+                out[(m, n, r)] = g.get((n - r, m - r, 0), 0)
+    return dict(sorted(out.items()))
 
 
 def truncated_series_head(order: int, tmax: int) -> list[dict[tuple[int, int], int]]:
     """Per z-order coefficients of (1 - tx) G(t, x, 0, z): the series head
     with the start-shift factor divided out."""
-    gs = _g_upto(order, tmax)
+    _check_budget(order, tmax)
     out = []
-    for g in gs:
+    for g in _g_tables(order, tmax):
         slice_ = {(h, i): c for (h, i, j), c in g.items() if j == 0}
         head = dict(slice_)
         for (h, i), c in slice_.items():

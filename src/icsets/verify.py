@@ -277,8 +277,8 @@ def _check_walk_roundtrips(total: int):
 
 def _check_engine_equivalence(total: int):
     bad = []
-    table = series.truncated_counts(total, total)
-    dp = series.walk_dp_counts(total, total, 2 * total)
+    table = series.truncated_counts(total, total, total)
+    dp = series.walk_dp_counts(total, total, total)
     for m in range(total + 1):
         for n in range(total + 1 - m):
             for r in range(min(m, n) + 1):

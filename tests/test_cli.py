@@ -1,5 +1,6 @@
 """Command-line surface: output contracts, encodings, and exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -102,10 +103,25 @@ def test_count_bad_spec(capsys):
         (("map", "minB:2", "", "--to", "walk"), "no rectangle frame for minB:2"),
         (("map", "ordsum:1+1", "[]", "--to", "classify"), "no rectangle frame for ordsum:1+1"),
         (("map", "rootB:2", "e w", "--to", "walk", "--inverse"), "no rectangle frame for rootB:2"),
+        (
+            ("map", "rootA:0", "[]", "--to", "motzkin"),
+            "Motzkin images are defined for rect:MxN and trunc:MxN:0 specs",
+        ),
+        # spec integers are an optional ASCII '-' and ASCII digits, nothing else
+        (("count", "rect:1_0x 2"), "bad poset spec 'rect:1_0x 2': expected rect:MxN"),
+        (("count", "rect:10x 2"), "bad poset spec 'rect:10x 2': expected rect:MxN"),
+        (("count", "ordsum: 2+\u0663"), "bad poset spec 'ordsum: 2+\u0663': expected ordsum:2+3+1"),
+        (("count", "ordsum:2+\u0663"), "bad poset spec 'ordsum:2+\u0663': expected ordsum:2+3+1"),
+        (("count", "rootA:+3"), "bad poset spec 'rootA:+3': expected rootA:K"),
     ],
 )
 def test_bad_specs_are_named_as_typed(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_negative_truncation_depth_is_a_rectangle(capsys):
+    assert parse_poset_spec("trunc:3x3:-1") == TruncatedRectangle(3, 3, 0)
+    assert run(capsys, "count", "trunc:3x3:-1") == (0, "114, 114, 114\n", "")
 
 
 def test_spec_forms_are_documented():
@@ -288,6 +304,21 @@ def test_series_truncated_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "m,n,r,count"
     assert "3,2,1,24" in lines
+
+
+SERIES_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
+)["series_sha256"]
+
+
+@pytest.mark.parametrize(
+    "family,order",
+    [(family, order) for family, table in SERIES_DIGESTS.items() for order in table],
+)
+def test_series_csv_matches_pinned_digest(capsys, family, order):
+    code, out, _ = run(capsys, "series", family, "--order", order, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[family][order]
 
 
 def test_series_budget(capsys):

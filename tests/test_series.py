@@ -370,6 +370,36 @@ def test_engine_equivalence_sweep():
                     )
 
 
+@pytest.mark.parametrize("mmax,nmax", [(6, 6), (7, 3), (3, 7), (0, 5), (12, 12)])
+def test_truncated_total_restricts_the_box(mmax, nmax):
+    box = truncated_counts(mmax, nmax)
+    dp = walk_dp_counts(nmax, mmax, mmax + nmax)
+    for total in range(13):
+        table = truncated_counts(mmax, nmax, total)
+        assert list(table) == sorted(table)
+        assert table == {k: c for k, c in box.items() if k[0] + k[1] <= total}
+        for (m, n, r), c in table.items():
+            assert c == dp[(n - r, m - r, m + n)]
+    assert truncated_counts(mmax, nmax, mmax + nmax + 5) == box
+
+
+def test_truncated_total_must_be_non_negative():
+    with pytest.raises(ValueError, match="orders must be non-negative"):
+        truncated_counts(3, 3, -1)
+
+
+def test_truncated_counts_memory_to_printed_order():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        truncated_counts(20, 20, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_walk_dp_examples():
     dp = walk_dp_counts(1, 2, 6)
     assert dp[(0, 0, 2)] == 1
