@@ -66,12 +66,13 @@ def parse_ics_json(text: str) -> frozenset[tuple]:
         raise ValueError("ICS JSON must be an array")
     if not data:
         return frozenset()
-    if all(isinstance(v, int) for v in data):
-        return frozenset([tuple(data)])
+    if not any(isinstance(v, list) for v in data):
+        data = [data]  # a single tuple given flat
     out = []
     for item in data:
-        if not isinstance(item, list) or not all(isinstance(v, int) for v in item):
-            raise ValueError(f"bad ICS element {item!r}; expected [a,b] or [a,b,c]")
+        # type() rather than isinstance(): JSON true/false are bools, and bool is an int
+        if not isinstance(item, list) or not all(type(v) is int for v in item):
+            raise ValueError(f"bad ICS element {json.dumps(item)}; expected [a,b] or [a,b,c]")
         out.append(tuple(item))
     return frozenset(out)
 

@@ -56,6 +56,14 @@ The oracle's interval test:
   both decided before k, y before z, so z was in D when it was excluded and
   k is in F; conversely every element of F lies under such a pair.  Every
   leaf of the search is therefore an ICS, and every ICS is a leaf.
+
+  The symmetric count under an involution sigma runs the same search with
+  one partner rule: when sigma(k) > k, the partner was decided first and k
+  copies its decision (k may be included only if sigma(k) is chosen and k is
+  not in F, excluded only if sigma(k) is excluded); otherwise k branches as in
+  the oracle.  The decision order and the D/F updates are the oracle's, so
+  every leaf is an ICS; the partner rule makes every leaf sigma-invariant;
+  and a sigma-invariant ICS takes only allowed branches, so it is a leaf.
 """
 
 from __future__ import annotations
@@ -547,65 +555,32 @@ def vertical_involution(spec: PosetSpec) -> Involution:
 
 
 def enumerate_symmetric_ics(poset: FinitePoset, sigma: Involution) -> int:
-    """Count the ICS fixed setwise by the involution.
-
-    Works orbit by orbit.  Deciding a whole orbit can reference interval
-    elements whose own orbit is still undecided; those are recorded as forced
-    and the branch dies if a forced element is later excluded, so every
-    accepted leaf is a genuine symmetric ICS and none is missed.
-    """
+    """Count the ICS fixed setwise by the involution: the oracle's search, in
+    which an element whose partner was decided first copies that decision."""
     _check_involution(poset, sigma)
-    n = poset.n
-    orbit_masks = []
-    seen = 0
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        mask = 1 << i | 1 << sigma(i)
-        seen |= mask
-        orbit_masks.append(mask)
-    if len(orbit_masks) > ICS_ENUMERATION_BOUND:
+    perm = sigma.mapping
+    orbits = sum(1 for i, p in enumerate(perm) if p <= i)
+    if orbits > ICS_ENUMERATION_BOUND:
         raise OracleScaleExceeded(
-            f"oracle scale exceeded: {len(orbit_masks)} orbits > bound {ICS_ENUMERATION_BOUND}"
+            f"oracle scale exceeded: {orbits} orbits > bound {ICS_ENUMERATION_BOUND}"
         )
-    up_strict = poset._up_strict
     down_strict = poset._down_strict
-    up = poset._up
-
-    def conflicts(chosen: int, excluded: int, orbit: int) -> tuple[bool, int]:
-        # returns (dead, forced-by-including-orbit)
-        forced = 0
-        new_chosen = chosen | orbit
-        for p in _iter_bits(orbit):
-            for q in _iter_bits(new_chosen & ~(1 << p)):
-                if up[p] >> q & 1:
-                    lo, hi = p, q
-                elif up[q] >> p & 1:
-                    lo, hi = q, p
-                else:
-                    continue
-                interior = up_strict[lo] & down_strict[hi]
-                if interior & excluded:
-                    return True, 0
-                forced |= interior & ~new_chosen
-        return False, forced
-
     total = 0
-    stack = [(0, 0, 0, 0)]  # orbit cursor, chosen, excluded, forced
+    stack = [(poset.n - 1, 0, 0, 0)]  # next index, chosen, below, forbidden
     while stack:
-        pos, chosen, excluded, forced = stack.pop()
-        if pos == len(orbit_masks):
-            assert not forced  # every forced element was decided on the way down
+        k, mask, below, forbidden = stack.pop()
+        if k < 0:
             total += 1
             continue
-        orbit = orbit_masks[pos]
-        dead, newly_forced = conflicts(chosen, excluded, orbit)
-        if not dead:
-            stack.append(
-                (pos + 1, chosen | orbit, excluded, (forced | newly_forced) & ~orbit)
-            )
-        if not (orbit & forced):
-            stack.append((pos + 1, chosen, excluded | orbit, forced))
+        bit = 1 << k
+        partner = perm[k]
+        free = partner <= k
+        if not forbidden & bit and (free or mask >> partner & 1):
+            stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
+        if free or not mask >> partner & 1:
+            if below & bit:
+                forbidden |= down_strict[k]
+            stack.append((k - 1, mask, below, forbidden))
     return total
 
 

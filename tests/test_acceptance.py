@@ -16,6 +16,7 @@ from icsets.verify import RECT_EXAMPLE_WORD as RECT_WORD
 from icsets.verify import THREE_CHAIN_TABLE as THREE_CHAIN
 from icsets.verify import TRUNCATED_EXAMPLE_ICS as TRUNCATED_ICS
 from icsets.verify import TRUNCATED_EXAMPLE_WALK as TRUNCATED_WALK
+from icsets.verify import TRUNCATED_SERIES_HEAD as SERIES_HEAD
 from icsets.verify import TYPE_A_EXAMPLE_ICS as TRIANGLE_ICS
 from icsets.verify import TYPE_A_EXAMPLE_WALK as TRIANGLE_WALK
 from icsets.verify import TYPE_A_SEQUENCE as TYPE_A
@@ -97,9 +98,9 @@ def test_criterion_5_truncated_rectangles():
                     assert table[(m, n, r)] == brute, (m, n, r)
                     assert dp[(n - r, m - r, m + n)] == brute, (m, n, r)
         head = series.truncated_series_head(2, 4)
-        assert head[0] == {(0, 0): 1}
-        assert head[1] == {(1, 0): 1, (0, 1): 1}
-        assert head[2] == {(0, 0): 1, (1, 1): 1, (2, 0): 1, (0, 2): 1}
+        assert head[0] == SERIES_HEAD[0]
+        assert head[1] == SERIES_HEAD[1]
+        assert head[2] == SERIES_HEAD[2]
 
 
 def test_criterion_6_narayana():

@@ -260,6 +260,20 @@ def test_stats_rejects_unknown_elements(capsys):
     assert code == 2 and "not in the poset" in err
 
 
+@pytest.mark.parametrize(
+    "ics,element",
+    [
+        ("[[true,1]]", "[true, 1]"),
+        ("[true,1]", "[true, 1]"),
+        ("[[1,1.0]]", "[1, 1.0]"),
+        ('[["a",1]]', '["a", 1]'),
+    ],
+)
+def test_ics_coordinates_must_be_json_integers(capsys, ics, element):
+    message = f"error: bad ICS element {element}; expected [a,b] or [a,b,c]\n"
+    assert run(capsys, "stats", "rect:2x2", ics) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # series
 

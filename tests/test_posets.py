@@ -347,6 +347,48 @@ def test_symmetric_counts():
     ) == 13
 
 
+def _swap_positions_1_2(lab):
+    return (lab[0], {1: 2, 2: 1}.get(lab[1], lab[1]))
+
+
+@pytest.mark.parametrize(
+    "spec,label_map,count",
+    [
+        (OrdinalSumAntichains((2, 3, 2)), _swap_positions_1_2, 13),
+        (ChainProduct3(2, 2, 3), lambda lab: (lab[1], lab[0], lab[2]), 114),
+        (ChainProduct3(2, 3, 2), lambda lab: lab[::-1], 114),
+        (TypeARoot(4), lambda lab: lab[::-1], 33),
+        (ChainProduct(2, 4), lambda lab: lab, 71),
+    ],
+    ids=["ordsum-swap", "cube-swap-12", "cube-swap-13", "rootA-mirror", "rect-identity"],
+)
+def test_symmetric_count_matches_brute_force(spec, label_map, count):
+    poset = build_poset(spec)
+    sigma = make_involution(poset, label_map)
+    fixed = [s for s in enumerate_ics(poset) if {sigma(i) for i in s} == s]
+    assert enumerate_symmetric_ics(poset, sigma) == len(fixed) == count
+    if all(sigma(i) == i for i in range(poset.n)):
+        assert count == count_ics(poset)
+
+
+def test_symmetric_count_reach_is_bounded_by_orbits():
+    from icsets.series import b_minuscule_counts
+    from icsets.verify import B_ROOT_SEQUENCE
+
+    square = ChainProduct(7, 7)  # 49 elements, 28 orbits
+    assert build_poset(square).n > ICS_ENUMERATION_BOUND
+    assert enumerate_symmetric_ics(build_poset(square), vertical_involution(square)) == (
+        b_minuscule_counts(7)[7]
+    ) == 5014
+    assert enumerate_symmetric_ics(
+        build_poset(TypeARoot(9)), vertical_involution(TypeARoot(9))
+    ) == B_ROOT_SEQUENCE[4] == 12883
+    with pytest.raises(OracleScaleExceeded, match=r"^oracle scale exceeded: 36 orbits > bound 30$"):
+        enumerate_symmetric_ics(
+            build_poset(ChainProduct(8, 8)), vertical_involution(ChainProduct(8, 8))
+        )
+
+
 # ---------------------------------------------------------------------------
 # subset statistics
 

@@ -45,6 +45,7 @@ from icsets.series import (
 )
 from icsets.verify import B_MINUSCULE_SEQUENCE as B_MINUSCULE
 from icsets.verify import B_ROOT_SEQUENCE as B_ROOT
+from icsets.verify import TRUNCATED_SERIES_HEAD as SERIES_HEAD
 from icsets.verify import TYPE_A_SEQUENCE as TYPE_A
 
 
@@ -322,9 +323,9 @@ def test_symmetric_counts_match_mirror_oracle():
 
 def test_printed_series_head():
     head = truncated_series_head(2, 4)
-    assert head[0] == {(0, 0): 1}
-    assert head[1] == {(1, 0): 1, (0, 1): 1}
-    assert head[2] == {(0, 0): 1, (1, 1): 1, (2, 0): 1, (0, 2): 1}
+    assert head[0] == SERIES_HEAD[0]
+    assert head[1] == SERIES_HEAD[1]
+    assert head[2] == SERIES_HEAD[2]
 
 
 def test_truncated_example_coefficient():
