@@ -55,7 +55,11 @@ The oracle's interval test:
   have k < z < y.  Since indexing is a linear extension, such y and z were
   both decided before k, y before z, so z was in D when it was excluded and
   k is in F; conversely every element of F lies under such a pair.  Every
-  leaf of the search is therefore an ICS, and every ICS is a leaf.
+  leaf of the search is therefore an ICS, and every ICS is a leaf.  F is a
+  down-set inside D, so a forbidden element can only be excluded, and
+  excluding it adds down_strict(k), already in F, which changes nothing: the
+  oracle skips forbidden elements outright, with the same leaves in the same
+  order.
 
   The symmetric count under an involution sigma runs the same search with
   one partner rule: when sigma(k) > k, the partner was decided first and k
@@ -69,9 +73,8 @@ The oracle's interval test:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
 
 from . import series
 
@@ -86,47 +89,75 @@ class OracleScaleExceeded(RuntimeError):
 # Poset specifications
 
 
-@dataclass(frozen=True)
-class ChainProduct:
-    m: int
-    n: int
+class _Value:
+    """An immutable record with the fields named in __slots__, standing in for a
+    frozen dataclass (which costs milliseconds of import time): positional or
+    keyword construction, equality and hash by field values within one class
+    only, the dataclass repr, and AttributeError on assignment."""
+
+    __slots__ = ("_key",)  # the field values in order, for equality, hash and pickling
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", args)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key
 
 
-@dataclass(frozen=True)
-class ChainProduct3:
-    l: int
-    m: int
-    n: int
+class ChainProduct(_Value):
+    __slots__ = ("m", "n")
 
 
-@dataclass(frozen=True)
-class TruncatedRectangle:
-    m: int
-    n: int
-    r: int
+class ChainProduct3(_Value):
+    __slots__ = ("l", "m", "n")
 
 
-@dataclass(frozen=True)
-class TypeARoot:
-    k: int
+class TruncatedRectangle(_Value):
+    __slots__ = ("m", "n", "r")
 
 
-@dataclass(frozen=True)
-class TypeBMinuscule:
-    n: int
+class TypeARoot(_Value):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class TypeBRoot:
-    n: int
+class TypeBMinuscule(_Value):
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
-class OrdinalSumAntichains:
-    sizes: tuple[int, ...]
+class TypeBRoot(_Value):
+    __slots__ = ("n",)
+
+
+class OrdinalSumAntichains(_Value):
+    __slots__ = ("sizes",)
 
     def __init__(self, sizes: Iterable[int]):
-        object.__setattr__(self, "sizes", tuple(sizes))
+        super().__init__(tuple(sizes))
 
 
 PosetSpec = (
@@ -140,24 +171,35 @@ PosetSpec = (
 )
 
 
-@dataclass(frozen=True)
 class Family:
     """One poset family, described once: modules that treat families
     differently read these fields instead of testing a spec's class.  The
     engines look series functions up at call time, so patching the series
     module reaches them."""
 
-    spec_class: type
-    form: str  # CLI text form; the part before the colon is the prefix
-    parse: Callable[[str], PosetSpec]  # text after the colon; ValueError if malformed
-    check: Callable[[PosetSpec], PosetSpec]  # validated, normalised; ValueError if out of range
-    labels: Callable[[PosetSpec], list[tuple]]  # element labels of a checked spec
-    # spec -> (label -> labels covering it; those outside the poset are dropped)
-    upper_covers: Callable = lambda spec: _unit_steps
-    # (m, n, r): [m] x [n] minus its bottom r ranks, where the path maps apply
-    frame: Callable[[PosetSpec], tuple[int, int, int] | None] = lambda spec: None
-    formula: Callable[[PosetSpec], int | None] = lambda spec: None  # closed-formula count
-    series: Callable[[PosetSpec], int | None] = lambda spec: None  # generating-function count
+    def __init__(
+        self,
+        spec_class: type,
+        form: str,  # CLI text form; the part before the colon is the prefix
+        parse: Callable[[str], PosetSpec],  # text after the colon; ValueError if malformed
+        check: Callable[[PosetSpec], PosetSpec],  # validated, normalised; ValueError if out of range
+        labels: Callable[[PosetSpec], list[tuple]],  # element labels of a checked spec
+        # spec -> (label -> labels covering it; those outside the poset are dropped)
+        upper_covers: Callable = lambda spec: _unit_steps,
+        # (m, n, r): [m] x [n] minus its bottom r ranks, where the path maps apply
+        frame: Callable[[PosetSpec], tuple[int, int, int] | None] = lambda spec: None,
+        formula: Callable[[PosetSpec], int | None] = lambda spec: None,  # closed-formula count
+        series: Callable[[PosetSpec], int | None] = lambda spec: None,  # generating-function count
+    ):
+        self.spec_class = spec_class
+        self.form = form
+        self.parse = parse
+        self.check = check
+        self.labels = labels
+        self.upper_covers = upper_covers
+        self.frame = frame
+        self.formula = formula
+        self.series = series
 
 
 def _int(text: str) -> int:
@@ -181,8 +223,8 @@ def _ints(text: str, *separators: str) -> list[int]:
 def _nonnegative(name: str):
     # check for specs whose integer fields must all be >= 0
     def check(spec):
-        if min(vars(spec).values()) < 0:
-            raise ValueError(f"{name} needs {', '.join(vars(spec))} >= 0, got {spec}")
+        if min(spec._key) < 0:
+            raise ValueError(f"{name} needs {', '.join(spec.__slots__)} >= 0, got {spec}")
         return spec
 
     return check
@@ -468,18 +510,18 @@ def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
     carrying two masks: below, the elements under some chosen element, and
     forbidden, the elements under an excluded element of below.  Element k may
     be chosen iff it is not forbidden; see the module docstring for why that
-    is exactly the interval test.
+    is exactly the interval test, and why forbidden elements are skipped.
     """
     down_strict = poset._down_strict
     stack = [(poset.n - 1, 0, 0, 0)]  # next index, chosen, below, forbidden
     while stack:
         k, mask, below, forbidden = stack.pop()
+        k = (~forbidden & ((1 << k + 1) - 1)).bit_length() - 1  # skip forbidden elements
         if k < 0:
             yield mask
             continue
         bit = 1 << k
-        if not forbidden & bit:
-            stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
+        stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
         if below & bit:
             forbidden |= down_strict[k]
         stack.append((k - 1, mask, below, forbidden))
@@ -512,11 +554,10 @@ def count_ics(poset: FinitePoset) -> int:
 # Involutions and symmetric ICS
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(_Value):
     """A poset automorphism equal to its own inverse, as an index permutation."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -588,13 +629,14 @@ def enumerate_symmetric_ics(poset: FinitePoset, sigma: Involution) -> int:
 # Subset statistics
 
 
-@dataclass(frozen=True)
-class SubsetStats:
-    cardinality: int
-    component_count: int
-    incomparable_count: int
-    minimal_in_subset: int
-    hits_all_files: bool | None
+class SubsetStats(_Value):
+    __slots__ = (
+        "cardinality",
+        "component_count",
+        "incomparable_count",
+        "minimal_in_subset",
+        "hits_all_files",  # bool, or None when the poset is not a chain product
+    )
 
 
 def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:

@@ -35,12 +35,11 @@ coefficient mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Mapping, Sequence
 
 ORDER_BUDGET = 40
 
@@ -414,14 +413,16 @@ def b_minuscule_counts(nmax: int) -> list[int]:
 # Functional-equation coefficient recurrences
 
 
-@dataclass(frozen=True)
 class CoeffPolynomial:
     """A per-z-order coefficient: an integer polynomial keyed by exponent
     tuples over the named variables (walk endpoint counts, so all values
     are non-negative in a correct run)."""
 
-    variables: tuple[str, ...]
-    coeffs: Mapping[tuple[int, ...], int]
+    __slots__ = ("variables", "coeffs")
+
+    def __init__(self, variables: tuple[str, ...], coeffs: Mapping[tuple[int, ...], int]):
+        self.variables = variables
+        self.coeffs = coeffs
 
     def __getitem__(self, exp: tuple[int, ...]) -> int:
         return self.coeffs.get(tuple(exp), 0)

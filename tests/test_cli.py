@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -371,6 +374,18 @@ def test_series_rejects_negative_order(capsys, argv):
     assert code == 2 and out == "" and "orders must be non-negative" in err
 
 
+@pytest.mark.parametrize("family", ["typeA", "broot"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("order_flag", [("--order", "0"), ("--seed-order", "0")])
+def test_series_from_order_one_rejects_order_zero(capsys, family, fmt, order_flag):
+    flag, value = order_flag
+    argv = ["series", family, "--format", fmt]
+    argv = [*argv, flag, value] if flag == "--order" else [flag, value, *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: the {family} sequence starts at order 1, got order 0\n"
+
+
 def test_series_default_order_flag(capsys):
     code, out, _ = run(capsys, "--seed-order", "3", "series", "bminuscule")
     assert code == 0 and out.strip() == "1, 2, 7, 26"
@@ -413,3 +428,35 @@ def test_verify_cross_checks_integer_recurrences(capsys, monkeypatch):
     monkeypatch.setattr(series, "b_minuscule_counts", lambda n: [1] * (n + 1))
     _, bad = verify._check_integer_recurrences(2, 3)
     assert [entry[:2] for entry in bad] == [("B-minuscule", (n,)) for n in (1, 2, 3)]
+
+
+# ---------------------------------------------------------------------------
+# start-up footprint
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+from icsets import cli
+loaded = sorted(set(sys.modules) - bare)
+outputs = []
+for argv in (["map", "rect:1x1", "[1,1]", "--to", "motzkin"], ["verify", "--level", "quick"]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = cli.main(argv)
+    outputs.append([code, buf.getvalue()])
+print(json.dumps({"loaded": loaded, "outputs": outputs}))
+"""
+
+
+def test_cli_import_loads_only_what_count_and_series_run():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT], capture_output=True, text=True, env=env, check=True
+    )
+    report = json.loads(proc.stdout)
+    loaded = set(report["loaded"])
+    assert not loaded & {"dataclasses", "icsets.paths", "icsets.bijections", "icsets.verify"}
+    assert {m for m in loaded if m.startswith("icsets")} == {"icsets", "icsets.cli", "icsets.posets", "icsets.series"}
+    (map_code, map_out), (verify_code, verify_out) = report["outputs"]
+    assert (map_code, map_out) == (0, "U D\n")
+    assert verify_code == 0 and "[FAIL]" not in verify_out and "checks passed" in verify_out

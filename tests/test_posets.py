@@ -1,6 +1,8 @@
 """Poset builders, the ICS predicate, closures, and the enumeration oracle."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from icsets.posets import (
     ChainProduct,
     ChainProduct3,
     ICS_ENUMERATION_BOUND,
+    Involution,
     OracleScaleExceeded,
     OrdinalSumAntichains,
+    SubsetStats,
     TruncatedRectangle,
     TypeARoot,
     TypeBMinuscule,
@@ -577,3 +581,68 @@ def test_indices_outside_the_poset_are_value_errors():
     with pytest.raises(ValueError, match=r"^elements not in the poset: \[-1\]$"):
         poset.labels_of([0, -1])
     assert poset.labels_of(iter([0, 3])) == frozenset({(1, 1), (2, 2)})
+
+
+# ---------------------------------------------------------------------------
+# spec and record values
+
+
+@pytest.mark.parametrize(
+    "classes, fields",
+    [((TypeARoot, TypeBMinuscule, TypeBRoot), (3,)), ((ChainProduct3, TruncatedRectangle), (1, 2, 3))],
+)
+def test_equal_fields_make_equal_values_only_within_a_class(classes, fields):
+    for a, b in itertools.product(classes, repeat=2):
+        if a is b:
+            assert a(*fields) == b(*fields) and hash(a(*fields)) == hash(b(*fields))
+        else:
+            assert a(*fields) != b(*fields)
+
+
+def test_build_poset_cache_keeps_classes_apart():
+    specs = [TypeARoot(3), TypeBMinuscule(3), TypeBRoot(3)]
+    built = [build_poset(spec) for spec in specs]
+    assert [type(p.spec) for p in built] == [type(spec) for spec in specs]
+    assert [p.n for p in built] == [6, 6, 9]
+    assert built[0].labels != built[1].labels
+    assert build_poset(ChainProduct3(1, 2, 3)).n == 6
+    with pytest.raises(ValueError, match="exceeds min"):
+        build_poset(TruncatedRectangle(1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (ChainProduct(-1, 2), "ChainProduct(m=-1, n=2)"),
+        (ChainProduct3(1, 2, 3), "ChainProduct3(l=1, m=2, n=3)"),
+        (TruncatedRectangle(4, 5, 1), "TruncatedRectangle(m=4, n=5, r=1)"),
+        (TypeARoot(3), "TypeARoot(k=3)"),
+        (TypeBMinuscule(3), "TypeBMinuscule(n=3)"),
+        (TypeBRoot(3), "TypeBRoot(n=3)"),
+        (OrdinalSumAntichains([2, 3]), "OrdinalSumAntichains(sizes=(2, 3))"),
+        (Involution((1, 0)), "Involution(mapping=(1, 0))"),
+        (
+            SubsetStats(1, 1, 0, 1, None),
+            "SubsetStats(cardinality=1, component_count=1, incomparable_count=0,"
+            " minimal_in_subset=1, hits_all_files=None)",
+        ),
+    ],
+)
+def test_value_repr(value, text):
+    assert repr(value) == text
+
+
+def test_values_are_immutable_and_take_keywords():
+    spec = ChainProduct(2, 3)
+    with pytest.raises(AttributeError):
+        spec.m = 5
+    with pytest.raises(AttributeError):
+        del spec.n
+    assert spec == ChainProduct(n=3, m=2) == ChainProduct(2, n=3)
+    sizes = OrdinalSumAntichains((2, 3))
+    assert copy.deepcopy(sizes) == pickle.loads(pickle.dumps(sizes)) == sizes
+    assert OrdinalSumAntichains(sizes=iter([2, 3])) == OrdinalSumAntichains((2, 3))
+    assert SubsetStats(1, 2, hits_all_files=True, minimal_in_subset=0, incomparable_count=4).component_count == 2
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"m": 2}), ((), {"m": 1, "k": 2})]:
+        with pytest.raises(TypeError):
+            ChainProduct(*args, **kwargs)
