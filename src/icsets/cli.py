@@ -91,8 +91,9 @@ def cmd_count(args) -> int:
     method = args.method
     results: dict[str, int] = {}
     if method in ("oracle", "all"):
-        if method == "oracle" or posets.build_poset(spec).n <= posets.ICS_ENUMERATION_BOUND:
-            results["oracle"] = posets.count_ics(posets.build_poset(spec))
+        poset = posets.build_poset(spec)
+        if method == "oracle" or poset.n <= posets.ICS_ENUMERATION_BOUND:
+            results["oracle"] = posets.count_ics(poset)
     for name, engine, missing in (
         ("formula", family.formula, "no closed formula"),
         ("series", family.series, "no series engine"),

@@ -72,6 +72,14 @@ def test_count_json(capsys):
     assert payload["counts"] == {"oracle": "96", "series": "96"}
 
 
+def test_count_oracle_counts_past_what_it_could_enumerate(capsys):
+    # 2^30 sets: about two hours to visit one by one, one state per layer to count
+    code, out, _ = run(capsys, "count", "ordsum:30", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["counts"] == {"oracle": "1073741824", "formula": "1073741824"}
+
+
 def test_count_scale_exceeded(capsys):
     code, _, err = run(capsys, "count", "rect:6x6", "--method", "oracle")
     assert code == 3 and "scale exceeded" in err

@@ -2,12 +2,15 @@
 
 import copy
 import itertools
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsets.cli import parse_poset_spec
 from icsets.posets import (
     ChainProduct,
     ChainProduct3,
@@ -20,10 +23,12 @@ from icsets.posets import (
     TypeARoot,
     TypeBMinuscule,
     TypeBRoot,
+    _count_ics_layers,
     build_poset,
     count_ics,
     enumerate_ics,
     enumerate_symmetric_ics,
+    family_of,
     filter_closure,
     find_ics_violation,
     ideal_closure,
@@ -33,6 +38,7 @@ from icsets.posets import (
     subset_stats,
     vertical_involution,
 )
+from icsets.verify import THREE_CHAIN_TABLE
 
 
 def labels(poset, members):
@@ -548,6 +554,39 @@ def test_oracle_matches_brute_force_in_order(spec):
     ]
     assert [poset.mask_of(s) for s in enumerate_ics(poset)] == brute
     assert count_ics(poset) == len(brute)
+
+
+REFERENCE_COUNTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
+)["counts"]
+
+
+@pytest.mark.parametrize("text,count", sorted(REFERENCE_COUNTS.items()))
+def test_layered_count_matches_enumeration(text, count):
+    poset = build_poset(parse_poset_spec(text))
+    assert count_ics(poset) == sum(1 for _ in enumerate_ics(poset)) == count
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainProduct(15, 15),
+        TruncatedRectangle(12, 12, 4),
+        TypeARoot(12),
+        TypeBMinuscule(14),
+        TypeBRoot(8),
+    ],
+    ids=str,
+)
+def test_layered_count_past_the_bound_matches_series(spec):
+    poset = build_poset(spec)
+    assert poset.n > ICS_ENUMERATION_BOUND
+    assert _count_ics_layers(poset) == family_of(spec).series(spec)
+
+
+@pytest.mark.parametrize("sides", itertools.permutations((2, 3, 4)))
+def test_layered_count_is_independent_of_the_linear_extension(sides):
+    assert _count_ics_layers(build_poset(ChainProduct3(*sides))) == THREE_CHAIN_TABLE[(2, 3, 4)]
 
 
 # ---------------------------------------------------------------------------
