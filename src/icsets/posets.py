@@ -70,25 +70,27 @@ The oracle's interval test:
   each cut state to the number of nodes in it, applies the include, exclude
   and forbidden rules above to every state, and sums the last layer: the
   transfer-matrix method (Stanley, EC1 4.7), also called frontier-based
-  search.  Each state of layer k stands for at least one partial decision of
-  N-1..k that the search makes, so no layer is wider than the search is at
-  that depth and the count never does more steps than the enumeration; most
-  families merge heavily (ordsum:30 has one state per layer against 2^30
-  leaves).
-
-  The symmetric count under an involution sigma runs the same search with
-  one partner rule: when sigma(k) > k, the partner was decided first and k
-  copies its decision (k may be included only if sigma(k) is chosen and k is
-  not in F, excluded only if sigma(k) is excluded); otherwise k branches as in
-  the oracle.  The decision order and the D/F updates are the oracle's, so
-  every leaf is an ICS; the partner rule makes every leaf sigma-invariant;
-  and a sigma-invariant ICS takes only allowed branches, so it is a leaf.
+  search.  The symmetric count under an involution sigma is the same count
+  with one partner rule and a third mask C, the undecided elements whose
+  partner was chosen.  When sigma(k) > k the partner was decided first and k
+  copies its decision: k may be included only if it is in C and not in F, and
+  excluded only if it is not in C.  Otherwise k branches as in the oracle, and
+  including it with sigma(k) < k adds sigma(k) to C.  The decision order and
+  the D/F updates are the oracle's, so every leaf is an ICS; the partner rule
+  makes every leaf sigma-invariant; and a sigma-invariant ICS takes only
+  allowed branches, so it is a leaf.  C keeps the cut state sufficient
+  because every update to C sets a bit below k and C is read only at that
+  bit; without sigma, C stays empty.  Each state of layer k stands for at
+  least one partial decision of N-1..k that the search makes, so no layer is
+  wider than the search is at that depth and the count never does more steps
+  than the enumeration; most families merge heavily (ordsum:30 has one state
+  per layer against 2^30 leaves).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 
 from . import series
@@ -569,29 +571,39 @@ def count_ics(poset: FinitePoset) -> int:
     return _count_ics_layers(poset)
 
 
-def _count_ics_layers(poset: FinitePoset) -> int:
-    """Count the leaves of _ics_mask_stream's search without visiting them.
+def _count_ics_layers(poset: FinitePoset, perm: Sequence[int] | None = None) -> int:
+    """Count the leaves of _ics_mask_stream's search without visiting them,
+    or, under an involution perm, the perm-invariant ones.
 
-    Layer k maps each search state (below, forbidden), cut to the indices
-    below k, to the number of search nodes in that state; deciding k applies
-    the oracle's exclude and include rules to every state of the layer.  The
-    count is the sum over the last layer.  See the module docstring for why
-    the cut state suffices.
+    Layer k maps each search state (below, forbidden, copied), cut to the
+    indices below k, to the number of search nodes in that state; copied holds
+    the undecided elements whose partner was chosen, and stays 0 without perm.
+    Deciding k applies the oracle's exclude and include rules and the partner
+    rule to every state of the layer.  The count is the sum over the last
+    layer.  See the module docstring for why the cut state suffices.
     """
     down_strict = poset._down_strict
-    layer = {(0, 0): 1}  # (below, forbidden) -> multiplicity
+    if perm is None:
+        perm = range(poset.n)
+    layer = {(0, 0, 0): 1}  # (below, forbidden, copied) -> multiplicity
     for k in reversed(range(poset.n)):
         bit = 1 << k
         low = bit - 1
-        nxt: dict[tuple[int, int], int] = {}
-        for (below, forbidden), ways in layer.items():
-            if not forbidden & bit:  # include k
-                key = ((below | down_strict[k]) & low, forbidden & low)
+        partner = perm[k]
+        free = partner <= k  # otherwise k copies its partner's decision
+        partner_bit = 1 << partner
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (below, forbidden, copied), ways in layer.items():
+            if not forbidden & bit and (free or copied & bit):  # include k
+                key = (
+                    (below | down_strict[k]) & low, forbidden & low, (copied | partner_bit) & low
+                )
                 nxt[key] = nxt.get(key, 0) + ways
-            if below & bit:
-                forbidden |= down_strict[k]
-            key = (below & low, forbidden & low)  # exclude k
-            nxt[key] = nxt.get(key, 0) + ways
+            if not copied & bit:  # exclude k
+                if below & bit:
+                    forbidden |= down_strict[k]
+                key = (below & low, forbidden & low, copied & low)
+                nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
     return sum(layer.values())
 
@@ -626,10 +638,10 @@ def _check_involution(poset: FinitePoset, sigma: Involution) -> None:
     for i in range(poset.n):
         if perm[perm[i]] != i:
             raise ValueError("map is not an involution")
-    for i in range(poset.n):
-        for j in range(poset.n):
-            if poset.leq(i, j) != poset.leq(perm[i], perm[j]):
-                raise ValueError("map is not an automorphism")
+    # the order is the reflexive-transitive closure of the covers, so a
+    # bijection that maps the cover set onto itself preserves it both ways
+    if {(perm[i], perm[j]) for i, j in poset.covers} != poset.covers:
+        raise ValueError("map is not an automorphism")
 
 
 def vertical_involution(spec: PosetSpec) -> Involution:
@@ -642,29 +654,13 @@ def vertical_involution(spec: PosetSpec) -> Involution:
 
 
 def enumerate_symmetric_ics(poset: FinitePoset, sigma: Involution) -> int:
-    """Count the ICS fixed setwise by the involution: the oracle's search, in
-    which an element whose partner was decided first copies that decision."""
+    """Count the ICS fixed setwise by the involution: the layered count of the
+    oracle's search, in which an element whose partner was decided first
+    copies that decision."""
     _check_involution(poset, sigma)
     perm = sigma.mapping
     _check_oracle_scale(sum(1 for i, p in enumerate(perm) if p <= i), "orbits")
-    down_strict = poset._down_strict
-    total = 0
-    stack = [(poset.n - 1, 0, 0, 0)]  # next index, chosen, below, forbidden
-    while stack:
-        k, mask, below, forbidden = stack.pop()
-        if k < 0:
-            total += 1
-            continue
-        bit = 1 << k
-        partner = perm[k]
-        free = partner <= k
-        if not forbidden & bit and (free or mask >> partner & 1):
-            stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
-        if free or not mask >> partner & 1:
-            if below & bit:
-                forbidden |= down_strict[k]
-            stack.append((k - 1, mask, below, forbidden))
-    return total
+    return _count_ics_layers(poset, perm)
 
 
 # ---------------------------------------------------------------------------

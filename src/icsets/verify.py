@@ -124,29 +124,15 @@ def _check_type_a_oracle(top: int):
     return expected, actual
 
 
-def _check_b_minuscule_oracle(top: int):
+def _check_b_oracle(cases):
+    # (half spec, square spec, series value): the half counted directly and
+    # the square's mirror-symmetric ICS counted, against the series
     expected, actual = [], []
-    for n in range(1, top + 1):
-        direct = _oracle_count(posets.TypeBMinuscule(n))
-        square = posets.build_poset(posets.ChainProduct(n, n))
-        mirrored = posets.enumerate_symmetric_ics(
-            square, posets.vertical_involution(posets.ChainProduct(n, n))
-        )
-        expected.extend([direct, mirrored])
-        actual.extend([series.b_minuscule_counts(n)[n]] * 2)
-    return expected, actual
-
-
-def _check_b_root_oracle(top: int):
-    expected, actual = [], []
-    for n in range(1, top + 1):
-        direct = _oracle_count(posets.TypeBRoot(n))
-        triangle = posets.build_poset(posets.TypeARoot(2 * n - 1))
-        mirrored = posets.enumerate_symmetric_ics(
-            triangle, posets.vertical_involution(posets.TypeARoot(2 * n - 1))
-        )
-        expected.extend([direct, mirrored])
-        actual.extend([series.b_root_counts(n)] * 2)
+    for half, square, value in cases:
+        mirror = posets.vertical_involution(square)
+        mirrored = posets.enumerate_symmetric_ics(posets.build_poset(square), mirror)
+        expected.extend([_oracle_count(half), mirrored])
+        actual.extend([value] * 2)
     return expected, actual
 
 
@@ -383,9 +369,19 @@ def run_checks(level: str = "quick") -> list[CheckRecord]:
         (
             "B-minuscule counts vs oracle",
             "oracle",
-            lambda: _check_b_minuscule_oracle(7 if full else 5),
+            lambda: _check_b_oracle(
+                (posets.TypeBMinuscule(n), posets.ChainProduct(n, n), series.b_minuscule_counts(n)[n])
+                for n in range(1, (7 if full else 5) + 1)
+            ),
         ),
-        ("B-root counts vs oracle", "oracle", lambda: _check_b_root_oracle(5 if full else 3)),
+        (
+            "B-root counts vs oracle",
+            "oracle",
+            lambda: _check_b_oracle(
+                (posets.TypeBRoot(n), posets.TypeARoot(2 * n - 1), series.b_root_counts(n))
+                for n in range(1, (5 if full else 3) + 1)
+            ),
+        ),
         ("Narayana full/file counts", "oracle", lambda: _check_narayana(8 if full else 6)),
         ("rectangle worked example", "paper-table", _check_rect_example),
         ("type-A worked example", "paper-table", _check_type_a_example),

@@ -223,11 +223,10 @@ def test_count_invariant_under_transpose():
 def test_ordinal_sum_formula():
     # every composition with small total, plus a few large tuples
     tuples = [
-        t
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
         for total in range(1, 9)
-        for k in range(1, total + 1)
-        for t in itertools.product(range(1, total + 1), repeat=k)
-        if sum(t) == total
+        for k in range(total)
+        for cuts in itertools.combinations(range(1, total), k)
     ]
     tuples += [(16,), (8, 8), (4, 4, 4, 4), (5, 6, 5), (1,) * 16]
     for t in tuples:
@@ -397,6 +396,23 @@ def test_symmetric_count_reach_is_bounded_by_orbits():
         enumerate_symmetric_ics(
             build_poset(ChainProduct(8, 8)), vertical_involution(ChainProduct(8, 8))
         )
+
+
+@pytest.mark.parametrize(
+    "square,half,count",
+    [
+        (ChainProduct(8, 8), TypeBMinuscule(8), 19006),
+        (ChainProduct(9, 9), TypeBMinuscule(9), 72412),
+        (TypeARoot(11), TypeBRoot(6), 150912),
+    ],
+    ids=str,
+)
+def test_layered_symmetric_count_past_the_orbit_bound_matches_series(square, half, count):
+    # the orbit bound guards enumerate_symmetric_ics, not the layered count beneath it
+    mirror = vertical_involution(square)
+    assert sum(1 for i, p in enumerate(mirror.mapping) if p <= i) > ICS_ENUMERATION_BOUND
+    layered = _count_ics_layers(build_poset(square), mirror.mapping)
+    assert layered == family_of(half).series(half) == count
 
 
 # ---------------------------------------------------------------------------
