@@ -32,6 +32,7 @@ r = (l - s - h)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
@@ -40,6 +41,7 @@ from .posets import (
     FinitePoset,
     PosetSpec,
     TruncatedRectangle,
+    _union,
     build_poset,
     family_of,
     filter_closure,
@@ -79,33 +81,44 @@ def _frame(spec: PosetSpec) -> tuple[int, int, int]:
     return frame
 
 
-def _boundary_heights(m: int, n: int, r: int, ideal: Iterable[Label]) -> list[int]:
-    """Heights of the boundary path of an order ideal of the truncated
-    rectangle: the envelope of the floor and of the ideal's elements."""
-    ell = m + n
-    y = []
-    for i in range(ell + 1):
-        base = abs(i - n)
-        if base < r:
-            base = r if (r - n - i) % 2 == 0 else r + 1
-        y.append(base)
-    for a, b in ideal:
-        i = a - b + n
-        if a + b > y[i]:
+@lru_cache(maxsize=128)
+def _files(poset: FinitePoset, m: int, n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each file i = 0..m+n: the floor height (of the lowest path from
+    (0, n) to (m + n, m) on or above y = r) and the bitmask of the elements
+    with a - b + n = i.  Labels are sorted, so the highest bit of a file's
+    mask is its element with the largest a + b."""
+    floor = tuple(abs(i - n) if abs(i - n) >= r else r + (r - n - i) % 2 for i in range(m + n + 1))
+    masks = [0] * (m + n + 1)
+    for k, (a, b) in enumerate(poset.labels):
+        masks[a - b + n] |= 1 << k
+    return floor, tuple(masks)
+
+
+def _ideal_heights(m: int, n: int, r: int, poset: FinitePoset, ideal: int) -> list[int]:
+    """Heights of the boundary path of the order ideal with bitmask ideal:
+    the floor, raised at each file to a + b of the ideal's highest element
+    there."""
+    labels = poset.labels
+    floor, masks = _files(poset, m, n, r)
+    y = list(floor)
+    for i, file in enumerate(masks):
+        top = (ideal & file).bit_length() - 1
+        if top >= 0:
+            a, b = labels[top]
             y[i] = a + b
-    for i in range(ell):
-        if abs(y[i + 1] - y[i]) != 1:  # pragma: no cover - guards non-ideal input
-            raise AssertionError("boundary envelope is not a lattice path; input was not an ideal")
     return y
 
 
-def _ideal_from_heights(m: int, n: int, r: int, heights: list[int]) -> set[Label]:
-    return {
-        (a, b)
-        for a in range(1, m + 1)
-        for b in range(1, n + 1)
-        if a + b - 2 >= r and heights[a - b + n] >= a + b
-    }
+def _cells_between(m: int, n: int, r: int, lower: list[int], upper: list[int]) -> frozenset[Label]:
+    """Cells (a, b) above the floor (a + b - 2 >= r) between two paths from
+    (0, n) to (m + n, m): lower[i] < a + b <= upper[i] at file i = a - b + n.
+    Heights at file i have the parity of a + b there, so a + b steps by 2."""
+    cells = set()
+    for i in range(1, m + n):
+        lo = max(lower[i], r + 1)
+        for s in range(lo + 2 - (lo + i + n) % 2, upper[i] + 1, 2):
+            cells.add(((s + i - n) // 2, (s - i + n) // 2))
+    return frozenset(cells)
 
 
 def _steps_from_heights(heights: list[int]) -> tuple[str, ...]:
@@ -138,6 +151,7 @@ def _poset_for(spec: PosetSpec, poset: FinitePoset | None) -> FinitePoset:
 
 
 def _require_ics(poset: FinitePoset, members: frozenset[int]) -> None:
+    # pairwise, O(|I|^2); the O(|I|) closure test waits for ROADMAP item 1
     witness = find_ics_violation(poset, members)
     if witness is not None:
         raise NotIntervalClosed(tuple(poset.labels[i] for i in witness))
@@ -156,10 +170,9 @@ def ics_to_nested_pair(
     poset = _poset_for(spec, poset)
     members = poset.indices_of(ics)
     _require_ics(poset, members)
-    delta = ideal_closure(poset, members)
-    below = delta - members
-    th = _boundary_heights(m, n, r, poset.labels_of(delta))
-    bh = _boundary_heights(m, n, r, poset.labels_of(below))
+    delta = _union(poset._down, members)
+    th = _ideal_heights(m, n, r, poset, delta)
+    bh = _ideal_heights(m, n, r, poset, delta & ~poset.mask_of(members))
     _canonicalize_shared_blocks(bh, th)
     return NestedPairBT(m, n, r, _steps_from_heights(bh), _steps_from_heights(th))
 
@@ -169,9 +182,7 @@ def nested_pair_to_ics(pair: NestedPairBT) -> frozenset[Label]:
     problem = validate_nested_pair(pair)
     if problem is not None:
         raise ValueError(f"invalid nested pair: {problem}")
-    upper = _ideal_from_heights(pair.m, pair.n, pair.r, pair.top_heights())
-    lower = _ideal_from_heights(pair.m, pair.n, pair.r, pair.bottom_heights())
-    return frozenset(upper - lower)
+    return _cells_between(pair.m, pair.n, pair.r, pair.bottom_heights(), pair.top_heights())
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +267,8 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
         y.append(y[-1] + (1 if s == "NW" else -1 if s == "SE" else 0))
     th = [b + 2 * g for b, g in zip(bh, y)]
     r_eff = max(r, 0)
-    upper = _ideal_from_heights(m, n, r_eff, th)
-    lower = _ideal_from_heights(m, n, r_eff, bh)
     spec = ChainProduct(m, n) if r_eff == 0 else TruncatedRectangle(m, n, r_eff)
-    return spec, frozenset(upper - lower)
+    return spec, _cells_between(m, n, r_eff, bh, th)
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +318,6 @@ def is_full_ics(
     return all(h > 0 for h in heights[1:-1])
 
 
-def _classify_heights(m: int, n: int, ics, poset) -> tuple[list[int], list[int]]:
-    # upper path (ideal closure boundary) and lower path (below the filter closure)
-    poset = _poset_for(ChainProduct(m, n), poset)
-    members = poset.indices_of(ics)
-    _require_ics(poset, members)
-    delta = ideal_closure(poset, members)
-    nabla = filter_closure(poset, members)
-    complement = frozenset(range(poset.n)) - nabla
-    upper = _boundary_heights(m, n, 0, poset.labels_of(delta))
-    lower = _boundary_heights(m, n, 0, poset.labels_of(complement))
-    return lower, upper
-
-
 def shift_map(
     m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
 ) -> frozenset[Label]:
@@ -334,15 +330,15 @@ def shift_map(
         raise ValueError(
             f"shift map needs an element in every file 1..{m}, missing {sorted(set(range(1, m + 1)) - files)}"
         )
-    lower, upper = _classify_heights(m, n, ics, poset)
+    poset = _poset_for(ChainProduct(m, n), poset)
+    members = poset.indices_of(ics)
+    _require_ics(poset, members)
+    # the upper path bounds the ideal closure, the lower one the elements above no member
+    upper = _ideal_heights(m, n, 0, poset, _union(poset._down, members))
+    lower = _ideal_heights(m, n, 0, poset, ~_union(poset._up, members))
     new_upper = [n] + [h + 1 for h in upper]
     new_lower = lower + [lower[-1] + 1]
-    return frozenset(
-        (a, b)
-        for a in range(1, m + 2)
-        for b in range(1, n + 1)
-        if new_lower[a - b + n] <= a + b - 2 and new_upper[a - b + n] >= a + b
-    )
+    return _cells_between(m + 1, n, 0, new_lower, new_upper)
 
 
 def shift_map_inverse(
@@ -358,12 +354,7 @@ def shift_map_inverse(
         raise ValueError("full ICS paths do not start/end with the shift step")
     upper = [h - 1 for h in pair.top_heights()[1:]]
     lower = pair.bottom_heights()[:-1]
-    out = frozenset(
-        (a, b)
-        for a in range(1, m)
-        for b in range(1, n + 1)
-        if lower[a - b + n] <= a + b - 2 and upper[a - b + n] >= a + b
-    )
+    out = _cells_between(m - 1, n, 0, lower, upper)
     files = {a for a, _ in out}
     if files != set(range(1, m)):
         raise AssertionError("inverse shift lost a file")  # pragma: no cover

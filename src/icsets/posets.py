@@ -384,19 +384,24 @@ class FinitePoset:
         self.spec = spec
         index = {lab: i for i, lab in enumerate(labels)}
         self.index = index
-        above = [[index[c] for c in upper_covers(lab) if c in index] for lab in labels]
+        above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
+        covers = []
+        adj = [0] * n
         for i, js in enumerate(above):
             for j in js:
                 below[j].append(i)
+                covers.append((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
         up = _close_over(above, reversed(range(n)))
         down = _close_over(below, range(n))
         self._up = up
         self._down = down
         self._up_strict = [up[i] ^ 1 << i for i in range(n)]
         self._down_strict = [down[i] ^ 1 << i for i in range(n)]
-        self.covers = frozenset((i, j) for i, js in enumerate(above) for j in js)
-        self._cover_adj = [sum(1 << j for j in above[i] + below[i]) for i in range(n)]
+        self.covers = frozenset(covers)
+        self._cover_adj = adj
         self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
 
     def leq(self, i: int, j: int) -> bool:
@@ -500,20 +505,23 @@ def is_interval_closed(poset: FinitePoset, members: Iterable[int]) -> bool:
     return find_ics_violation(poset, members) is None
 
 
-def ideal_closure(poset: FinitePoset, members: Iterable[int]) -> frozenset[int]:
-    """Smallest order ideal containing the subset."""
+def _union(masks: Sequence[int], members: Iterable[int]) -> int:
+    """OR of masks[i] over the members: with poset._down, the bitmask of the
+    ideal closure; with poset._up, of the filter closure."""
     mask = 0
     for i in members:
-        mask |= poset._down[i]
-    return poset.members_of(mask)
+        mask |= masks[i]
+    return mask
+
+
+def ideal_closure(poset: FinitePoset, members: Iterable[int]) -> frozenset[int]:
+    """Smallest order ideal containing the subset."""
+    return poset.members_of(_union(poset._down, members))
 
 
 def filter_closure(poset: FinitePoset, members: Iterable[int]) -> frozenset[int]:
     """Smallest order filter containing the subset."""
-    mask = 0
-    for i in members:
-        mask |= poset._up[i]
-    return poset.members_of(mask)
+    return poset.members_of(_union(poset._up, members))
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +689,9 @@ def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:
     """Statistics of a subset: size, cover-graph components, elements of the
     poset comparable with no member, minimal elements contained, and (for
     chain products) whether every value of the first coordinate is hit."""
+    members = tuple(members)
     mask = poset.mask_of(members)
-    cardinality = bin(mask).count("1")
+    cardinality = mask.bit_count()
 
     components = 0
     todo = mask
@@ -699,16 +708,14 @@ def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:
             frontier = nxt
         todo &= ~comp
 
-    incomparable = 0
-    for z in range(poset.n):
-        if not ((poset._up[z] | poset._down[z]) & mask):
-            incomparable += 1
+    comparable = _union(poset._up, members) | _union(poset._down, members)
+    incomparable = poset.n - comparable.bit_count()
 
-    minimal = bin(mask & poset.minimal_mask).count("1")
+    minimal = (mask & poset.minimal_mask).bit_count()
 
     hits = None
     if isinstance(poset.spec, ChainProduct):
-        files = {lab[0] for lab in poset.labels_of(_iter_bits(mask))}
+        files = {poset.labels[i][0] for i in members}
         hits = all(a in files for a in range(1, poset.spec.m + 1))
 
     return SubsetStats(cardinality, components, incomparable, minimal, hits)

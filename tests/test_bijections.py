@@ -1,9 +1,16 @@
 """Round trips, worked examples, classification, full ICS, and the shift map."""
 
+import itertools
+import random
+
 import pytest
 
 from icsets.bijections import (
+    _PAIR_TO_WALK,
     NotIntervalClosed,
+    _canonicalize_shared_blocks,
+    _cells_between,
+    _steps_from_heights,
     classify_elements,
     ics_to_motzkin,
     ics_to_nested_pair,
@@ -35,6 +42,10 @@ from icsets.posets import (
     TypeARoot,
     build_poset,
     enumerate_ics,
+    family_of,
+    filter_closure,
+    ideal_closure,
+    normalize_spec,
     subset_stats,
 )
 from icsets.verify import RECT_EXAMPLE_ICS as RECT_ICS
@@ -51,6 +62,99 @@ TRIANGLE_T = "UUUDDUUDUDDD"
 TRIANGLE_B = "UUDDUUUDDUDD"
 TRUNCATED_T = "UDUDDUUDD"
 TRUNCATED_B = "DDDDUUDUU"
+
+
+# ---------------------------------------------------------------------------
+# reference path maps: the frame-scanning definitions the maps replaced
+
+
+def _boundary_heights(m, n, r, ideal):
+    """Heights of the boundary path of an order ideal, given by its labels:
+    the envelope of the floor and of the ideal's elements."""
+    y = []
+    for i in range(m + n + 1):
+        base = abs(i - n)
+        if base < r:
+            base = r if (r - n - i) % 2 == 0 else r + 1
+        y.append(base)
+    for a, b in ideal:
+        if a + b > y[a - b + n]:
+            y[a - b + n] = a + b
+    return y
+
+
+def _ideal_from_heights(m, n, r, heights):
+    return {
+        (a, b)
+        for a in range(1, m + 1)
+        for b in range(1, n + 1)
+        if a + b - 2 >= r and heights[a - b + n] >= a + b
+    }
+
+
+def _box_scan(m, n, r, lower, upper):
+    return frozenset(_ideal_from_heights(m, n, r, upper) - _ideal_from_heights(m, n, r, lower))
+
+
+def _reference_pair(spec, labels, poset):
+    m, n, r = family_of(spec).frame(normalize_spec(spec))
+    members = poset.indices_of(labels)
+    delta = ideal_closure(poset, members)
+    th = _boundary_heights(m, n, r, poset.labels_of(delta))
+    bh = _boundary_heights(m, n, r, poset.labels_of(delta - members))
+    _canonicalize_shared_blocks(bh, th)
+    return NestedPairBT(m, n, r, _steps_from_heights(bh), _steps_from_heights(th))
+
+
+def _check_against_references(spec, labels, poset):
+    """The pair, its Motzkin word or walk, and every inverse equal those of
+    the reference definitions."""
+    pair = ics_to_nested_pair(spec, labels, poset)
+    ref = _reference_pair(spec, labels, poset)
+    assert pair == ref
+    m, n, r = ref.m, ref.n, ref.r
+    cells = _box_scan(m, n, r, ref.bottom_heights(), ref.top_heights())
+    assert nested_pair_to_ics(pair) == cells == labels
+    walk = ics_to_walk(spec, labels, poset)
+    assert walk == QuarterWalk(n - r, (_PAIR_TO_WALK[bt] for bt in zip(ref.bottom, ref.top)))
+    assert walk_to_ics(walk)[1] == cells
+    if r == 0:
+        word = ics_to_motzkin(m, n, labels, poset)
+        assert word == nested_pair_to_motzkin(ref)
+        assert motzkin_to_ics(word) == (m, n, cells)
+
+
+def _lattice_paths(m, n):
+    # heights of every path from (0, n) to (m + n, m) over U and D steps
+    for ups in itertools.combinations(range(m + n), m):
+        heights = [n]
+        for k in range(m + n):
+            heights.append(heights[-1] + (1 if k in ups else -1))
+        yield heights
+
+
+def test_cells_between_matches_the_box_scan():
+    # every pair of paths, nested or not, over every floor; a lower path may
+    # dip below the floor, which only the floor test then cuts off
+    for m in range(4):
+        for n in range(4):
+            paths_ = list(_lattice_paths(m, n))
+            for r in range(min(m, n) + 1):
+                for lower, upper in itertools.product(paths_, repeat=2):
+                    assert _cells_between(m, n, r, lower, upper) == _box_scan(m, n, r, lower, upper)
+
+
+@pytest.mark.parametrize(
+    "spec", [ChainProduct(12, 9), TruncatedRectangle(11, 13, 5), TypeARoot(12)], ids=str
+)
+def test_path_maps_match_references_on_random_ics(spec):
+    # K minus J for down-sets K and J is always an ICS
+    poset = build_poset(spec)
+    rng = random.Random(f"path maps {spec}")
+    for _ in range(100):
+        k = ideal_closure(poset, rng.sample(range(poset.n), rng.randint(1, 3)))
+        j = ideal_closure(poset, rng.sample(range(poset.n), rng.randint(0, 3)))
+        _check_against_references(spec, poset.labels_of(k - j), poset)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +237,7 @@ def test_motzkin_roundtrip_and_image_sweep():
                 word = ics_to_motzkin(m, n, labels, poset)
                 assert motzkin_to_ics(word) == (m, n, labels)
                 images.add(word.steps)
+                _check_against_references(ChainProduct(m, n), labels, poset)
             assert images == {w.steps for w in enumerate_motzkin(m, n)}
 
 
@@ -206,6 +311,7 @@ def test_walk_roundtrip_sweep():
             walk = ics_to_walk(spec, labels, poset)
             _, back = walk_to_ics(walk)
             assert back == labels
+            _check_against_references(spec, labels, poset)
             st = subset_stats(poset, s)
             ws = walk_stats(walk)
             assert st.cardinality == ws.height_sum
@@ -308,6 +414,47 @@ def test_shift_map_bijection_sweep():
             assert images == fulls  # onto
             for labels in eligible:
                 assert shift_map_inverse(m + 1, n, shift_map(m, n, labels, source), target) == labels
+
+
+def _reference_shift_map(m, n, labels, poset):
+    members = poset.indices_of(labels)
+    complement = frozenset(range(poset.n)) - filter_closure(poset, members)
+    upper = _boundary_heights(m, n, 0, poset.labels_of(ideal_closure(poset, members)))
+    lower = _boundary_heights(m, n, 0, poset.labels_of(complement))
+    new_upper = [n] + [h + 1 for h in upper]
+    new_lower = lower + [lower[-1] + 1]
+    return frozenset(
+        (a, b)
+        for a in range(1, m + 2)
+        for b in range(1, n + 1)
+        if new_lower[a - b + n] <= a + b - 2 and new_upper[a - b + n] >= a + b
+    )
+
+
+def _reference_shift_map_inverse(m, n, labels, poset):
+    pair = _reference_pair(ChainProduct(m, n), labels, poset)
+    upper = [h - 1 for h in pair.top_heights()[1:]]
+    lower = pair.bottom_heights()[:-1]
+    return frozenset(
+        (a, b)
+        for a in range(1, m)
+        for b in range(1, n + 1)
+        if lower[a - b + n] <= a + b - 2 and upper[a - b + n] >= a + b
+    )
+
+
+def test_shift_maps_match_references():
+    for m in range(1, 5):
+        for n in range(1, 5):
+            poset = build_poset(ChainProduct(m, n))
+            for s in enumerate_ics(poset):
+                labels = poset.labels_of(s)
+                if {a for a, _ in labels} == set(range(1, m + 1)):
+                    assert shift_map(m, n, labels, poset) == _reference_shift_map(m, n, labels, poset)
+                if is_full_ics(m, n, labels, poset):
+                    assert shift_map_inverse(m, n, labels, poset) == _reference_shift_map_inverse(
+                        m, n, labels, poset
+                    )
 
 
 def test_shift_map_rejections():

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,60 @@ def test_stats_invariants():
         st_ = subset_stats(poset, s)
         assert st_.cardinality + st_.incomparable_count <= poset.n
         assert st_.component_count <= st_.cardinality
+
+
+def _direct_stats(poset, subset):
+    """Every field of subset_stats computed from poset.covers and leq alone."""
+    adjacent = {i: set() for i in subset}
+    for i, j in poset.covers:
+        if i in subset and j in subset:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+    components = 0
+    unseen = set(subset)
+    while unseen:
+        components += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            nxt = adjacent[frontier.pop()] & unseen
+            unseen -= nxt
+            frontier.extend(nxt)
+    incomparable = sum(
+        1
+        for z in range(poset.n)
+        if not any(poset.leq(x, z) or poset.leq(z, x) for x in subset)
+    )
+    minimal = sum(1 for x in subset if not any(poset.leq(y, x) for y in range(poset.n) if y != x))
+    hits = None
+    if isinstance(poset.spec, ChainProduct):
+        hits = {poset.labels[i][0] for i in subset} >= set(range(1, poset.spec.m + 1))
+    return SubsetStats(len(subset), components, incomparable, minimal, hits)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainProduct(0, 3),
+        ChainProduct(1, 5),
+        ChainProduct(4, 5),
+        TruncatedRectangle(5, 4, 2),
+        TypeARoot(4),
+        TypeBMinuscule(5),
+        TypeBRoot(3),
+        OrdinalSumAntichains((2, 3, 1, 4)),
+        ChainProduct3(2, 3, 2),
+    ],
+    ids=str,
+)
+def test_stats_match_direct_computation_on_arbitrary_subsets(spec):
+    poset = build_poset(spec)
+    rng = random.Random(f"subset stats {spec}")
+    subsets = [frozenset(), frozenset(range(poset.n))]
+    subsets += [
+        frozenset(rng.sample(range(poset.n), rng.randint(0, poset.n))) for _ in range(40)
+    ]
+    for subset in subsets:
+        assert subset_stats(poset, subset) == _direct_stats(poset, subset)
 
 
 # ---------------------------------------------------------------------------
