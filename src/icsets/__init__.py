@@ -60,10 +60,8 @@ _EXPORTS = {
         "walk_to_ics",
     ),
     "series": (
-        "CoeffPolynomial",
         "NegativeExponentError",
         "SeriesBudgetExceeded",
-        "TruncatedSeries",
         "b_minuscule_counts",
         "b_root_counts",
         "bicolored_counts",
@@ -77,6 +75,7 @@ _EXPORTS = {
         "typeA_counts",
         "walk_dp_counts",
     ),
+    "reference": ("TruncatedSeries",),
 }
 # exported name -> the submodule that defines it; a submodule name maps to itself
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

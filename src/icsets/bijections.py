@@ -346,14 +346,15 @@ def shift_map_inverse(
 ) -> frozenset[Label]:
     """Inverse of the shift map: a full ICS of [m] x [n] (m >= 1) back to an
     ICS of [m-1] x [n] touching every file."""
-    ics = frozenset(ics)
-    if not is_full_ics(m, n, ics, poset):
-        raise ValueError("shift map inverse is only defined on full ICS")
     pair = ics_to_nested_pair(ChainProduct(m, n), ics, poset)
+    top, bottom = pair.top_heights(), pair.bottom_heights()
+    # full: the paths meet only at their endpoints (is_full_ics, on the pair)
+    if any(t <= b for t, b in zip(top[1:-1], bottom[1:-1])):
+        raise ValueError("shift map inverse is only defined on full ICS")
     if pair.top[0] != "U" or pair.bottom[-1] != "U":
         raise ValueError("full ICS paths do not start/end with the shift step")
-    upper = [h - 1 for h in pair.top_heights()[1:]]
-    lower = pair.bottom_heights()[:-1]
+    upper = [h - 1 for h in top[1:]]
+    lower = bottom[:-1]
     out = _cells_between(m - 1, n, 0, lower, upper)
     files = {a for a, _ in out}
     if files != set(range(1, m)):

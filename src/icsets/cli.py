@@ -247,12 +247,8 @@ def cmd_series(args) -> int:
         counts = series.b_minuscule_counts(order)
         if args.format == "json":
             _print_integer_series(["x"], (((n,), c) for n, c in enumerate(counts)))
-        elif args.format == "csv":
-            print("n,count")
-            for n, c in enumerate(counts):
-                print(f"{n},{c}")
         else:
-            print(", ".join(str(c) for c in counts))
+            _print_sequence(args, counts, start=0)
     elif which in ("typeA", "broot"):
         if order == 0:
             raise ValueError(f"the {which} sequence starts at order 1, got order 0")
@@ -274,7 +270,7 @@ def cmd_series(args) -> int:
 
 def _print_integer_series(variables, terms) -> None:
     """Print (exponent, integer coefficient) pairs in the series JSON format
-    of TruncatedSeries.to_json_dict, in the order given."""
+    of reference.TruncatedSeries.to_json_dict, in the order given."""
     payload = [{"exp": list(exp), "num": str(c), "den": "1"} for exp, c in terms]
     print(json.dumps({"vars": variables, "terms": payload}))
 

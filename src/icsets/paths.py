@@ -25,7 +25,6 @@ Text encodings (exact contract for the CLI and golden files):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 MOTZKIN_ALPHABET = ("U", "D", "H1", "H2")
@@ -264,11 +263,14 @@ def motzkin_stats(word: MotzkinWord | Iterable[str]) -> MotzkinStats:
     return MotzkinStats(area, returns, run_product_sum)
 
 
-def motzkin_area_by_trapezoids(word: MotzkinWord) -> Fraction:
+def motzkin_area_by_trapezoids(word: MotzkinWord) -> int:
     """Independent area computation: sum of per-step trapezoids (full squares
     plus half triangles).  Agrees with MotzkinStats.area for these step sets."""
     h = word.heights()
-    return sum((Fraction(h[i] + h[i + 1], 2) for i in range(len(word.steps))), Fraction(0))
+    twice = sum(h[i] + h[i + 1] for i in range(len(word.steps)))
+    if twice % 2:
+        raise ArithmeticError(f"trapezoid area {twice}/2 is not an integer")
+    return twice // 2
 
 
 def walk_stats(walk: QuarterWalk) -> WalkStats:

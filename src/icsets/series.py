@@ -7,9 +7,8 @@ Three independent routes to the same numbers live here:
     Motzkin series C with C = 1 + (x+y)C + xyC^2, Narayana numbers, the
     staircase-minuscule series, and per-family polynomial formulas.  The
     counts are read off integer convolution recurrences derived from the
-    closed forms; the same formulas evaluated literally in exact rational
-    arithmetic (TruncatedSeries, Newton iteration for roots and inverses)
-    are the independent reference that tests and verify compare against;
+    closed forms; icsets.reference evaluates the same formulas literally
+    over exact rationals, and the tests and verify compare the two;
 
   * per-z coefficient recurrences for the walk generating functions
     F(x, y, z) (walks from the origin) and G(t, x, y, z) (walks from
@@ -27,17 +26,13 @@ Three independent routes to the same numbers live here:
     knows nothing about the functional equation and serves as the
     cross-check engine.
 
-All arithmetic is over exact rationals (fractions.Fraction) or Python
-integers; integrality is asserted wherever a count is read off.  Series
-values are immutable in spirit: callers must not mutate returned
-coefficient mappings.
+All arithmetic is over Python integers; exactness is asserted wherever a
+count is read off a division.  Callers must not mutate returned coefficient
+mappings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -62,183 +57,10 @@ def _check_budget(*orders: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Truncated multivariate power series over exact rationals
-
-
-class TruncatedSeries:
-    """Power series in named variables, truncated per variable.
-
-    Coefficients are Fractions keyed by exponent tuples; absent keys are
-    zero, and no stored exponent exceeds its variable's truncation order.
-    """
-
-    __slots__ = ("variables", "trunc", "coeffs")
-
-    def __init__(
-        self,
-        variables: Sequence[str],
-        trunc: Sequence[int],
-        coeffs: Mapping[tuple[int, ...], Fraction | int] | None = None,
-    ):
-        self.variables = tuple(variables)
-        self.trunc = tuple(trunc)
-        if len(self.variables) != len(self.trunc):
-            raise ValueError("one truncation order per variable")
-        table: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in (coeffs or {}).items():
-            if len(exp) != len(self.variables):
-                raise ValueError(f"exponent {exp} has wrong arity")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent {exp}")
-            if any(e > t for e, t in zip(exp, self.trunc)):
-                continue
-            c = Fraction(c)
-            if c:
-                table[exp] = c
-        self.coeffs = table
-
-    @classmethod
-    def constant(cls, variables, trunc, value=1) -> "TruncatedSeries":
-        return cls(variables, trunc, {(0,) * len(tuple(variables)): Fraction(value)})
-
-    @classmethod
-    def variable(cls, variables, trunc, name) -> "TruncatedSeries":
-        variables = tuple(variables)
-        exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, trunc, {exp: Fraction(1)})
-
-    def __getitem__(self, exp: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(tuple(exp), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.variables == other.variables
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
-
-    def _like(self, coeffs) -> "TruncatedSeries":
-        return TruncatedSeries(self.variables, self.trunc, coeffs)
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.variables != other.variables or self.trunc != other.trunc:
-            raise ValueError("series frames differ")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.variables, self.trunc, other)
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.variables, self.trunc, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            c = Fraction(other)
-            return self._like({e: v * c for e, v in self.coeffs.items()})
-        self._check_compatible(other)
-        trunc = self.trunc
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > t for e, t in zip(exp, trunc)):
-                    continue
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse by Newton iteration X <- X(2 - SX)."""
-        c0 = self[(0,) * len(self.variables)]
-        if c0 == 0:
-            raise ZeroDivisionError("series has no invertible constant term")
-        x = TruncatedSeries.constant(self.variables, self.trunc, Fraction(1, 1) / c0)
-        while True:
-            nxt = x * (2 - self * x)
-            if nxt == x:
-                return x
-            x = nxt
-
-    def __truediv__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            c = Fraction(other)
-            return self._like({e: v / c for e, v in self.coeffs.items()})
-        return self * other.inverse()
-
-    def sqrt(self) -> "TruncatedSeries":
-        """Square root by Newton iteration S <- (S + A/S)/2; needs constant
-        term 1, iterated to the truncation-order fixpoint."""
-        if self[(0,) * len(self.variables)] != 1:
-            raise ValueError("series square root needs constant term 1")
-        s = TruncatedSeries.constant(self.variables, self.trunc, 1)
-        while True:
-            nxt = (s + self * s.inverse()) * Fraction(1, 2)
-            if nxt == s:
-                return s
-            s = nxt
-
-    def shift_down(self, **monomial: int) -> "TruncatedSeries":
-        """Exact division by a monomial, e.g. shift_down(x=1, y=1) divides
-        by xy; raises when the series is not divisible."""
-        delta = tuple(monomial.get(v, 0) for v in self.variables)
-        out = {}
-        for exp, c in self.coeffs.items():
-            shifted = tuple(e - d for e, d in zip(exp, delta))
-            if any(e < 0 for e in shifted):
-                raise ValueError(f"series is not divisible: stray term {exp}")
-            out[shifted] = c
-        return self._like(out)
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-            for exp, c in sorted(self.coeffs.items())
-        ]
-        return {"vars": list(self.variables), "terms": terms}
-
-    def integer_coefficient(self, exp: tuple[int, ...]) -> int:
-        c = self[exp]
-        if c.denominator != 1:
-            raise ArithmeticError(f"coefficient at {exp} is not an integer: {c}")
-        return c.numerator
-
-    def __repr__(self):
-        head = ", ".join(
-            f"{exp}: {c}" for exp, c in sorted(self.coeffs.items())[:6]
-        )
-        return f"TruncatedSeries({self.variables}, trunc={self.trunc}, {{{head}, ...}})"
-
-
-def series_from_json(data: dict, trunc: Sequence[int]) -> TruncatedSeries:
-    coeffs = {
-        tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in data["terms"]
-    }
-    return TruncatedSeries(data["vars"], trunc, coeffs)
-
-
-# ---------------------------------------------------------------------------
 # Closed forms: rectangles, bicolored Motzkin paths, Narayana numbers
 #
-# The *_series functions evaluate the formulas literally over Fractions and
-# are the reference; the *_counts functions read the same coefficients off
-# integer recurrences.  With C = 1 + (x+y)C + xyC^2 the discriminant root is
+# The *_counts functions read the coefficients of the closed forms (evaluated
+# literally in icsets.reference) off integer recurrences.  With C = 1 + (x+y)C + xyC^2 the discriminant root is
 # sqrt((1-x-y)^2 - 4xy) = 1 - x - y - 2xyC, so A = 1/(1 - x - y + xy(1 - C))
 # and both C and A satisfy T = [1] + xT + yT + xy(...) coefficientwise.
 
@@ -265,17 +87,6 @@ def _bicolored_rows(mmax: int, nmax: int) -> list[list[int]]:
     return c
 
 
-@lru_cache(maxsize=32)
-def rectangle_series(mmax: int, nmax: int) -> TruncatedSeries:
-    """Series whose (m, n) coefficient counts the ICS of [m] x [n]."""
-    _check_budget(mmax, nmax)
-    one = TruncatedSeries.constant(("x", "y"), (mmax, nmax))
-    x = TruncatedSeries.variable(("x", "y"), (mmax, nmax), "x")
-    y = TruncatedSeries.variable(("x", "y"), (mmax, nmax), "y")
-    root = ((1 - x - y) * (1 - x - y) - 4 * x * y).sqrt()
-    return (2 * one) / (1 - x - y + 2 * x * y + root)
-
-
 def rectangle_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
     """ICS counts of [m] x [n] for m <= mmax, n <= nmax, from
     A = 1 + xA + yA + xy(C - 1)A."""
@@ -294,22 +105,8 @@ def rectangle_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
     return {(m, n): a[m][n] for m in range(mmax + 1) for n in range(nmax + 1)}
 
 
-@lru_cache(maxsize=32)
-def bicolored_series(mmax: int, nmax: int) -> TruncatedSeries:
-    """Bicolored Motzkin path series C(x, y) with C = 1 + (x+y)C + xyC^2,
-    x marking up/first-color steps and y down/second-color steps."""
-    _check_budget(mmax + 1, nmax + 1)
-    frame = (("x", "y"), (mmax + 1, nmax + 1))
-    x = TruncatedSeries.variable(*frame, "x")
-    y = TruncatedSeries.variable(*frame, "y")
-    root = ((1 - x - y) * (1 - x - y) - 4 * x * y).sqrt()
-    numer = 1 - x - y - root
-    c = numer.shift_down(x=1, y=1) / 2
-    return TruncatedSeries(("x", "y"), (mmax, nmax), c.coeffs)
-
-
 def bicolored_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
-    _check_budget(mmax + 1, nmax + 1)  # the budget of bicolored_series
+    _check_budget(mmax + 1, nmax + 1)  # the budget of reference.bicolored_series
     c = _bicolored_rows(mmax, nmax)
     return {(m, n): c[m][n] for m in range(mmax + 1) for n in range(nmax + 1)}
 
@@ -373,19 +170,6 @@ def closed_form_count(family: str, params) -> int:
 # Staircase (type B minuscule) counts
 
 
-@lru_cache(maxsize=32)
-def b_minuscule_series(nmax: int) -> TruncatedSeries:
-    """Series counting ICS of the staircase half of [n] x [n], equivalently
-    mirror-symmetric ICS of the square."""
-    _check_budget(nmax)
-    frame = (("x",), (nmax,))
-    x = TruncatedSeries.variable(*frame, "x")
-    root = (1 - 4 * x).sqrt()
-    numer = 4 - 10 * x + 8 * x * x
-    denom = 2 - 11 * x + 14 * x * x - 8 * x * x * x + (2 - 3 * x) * root
-    return numer / denom
-
-
 def b_minuscule_counts(nmax: int) -> list[int]:
     """Coefficients of the staircase series, rewritten with
     sqrt(1 - 4x) = 1 - 2x Cat(x) as B = P/Q, P = 2 - 5x + 4x^2 and
@@ -403,7 +187,7 @@ def b_minuscule_counts(nmax: int) -> list[int]:
         twice = numer[n] - sum(denom[k] * counts[n - k] for k in range(1, n + 1))
         if twice % 2:
             raise ArithmeticError(
-                f"coefficient at ({n},) is not an integer: {Fraction(twice, 2)}"
+                f"coefficient at ({n},) is not an integer: {twice}/2"
             )
         counts.append(twice // 2)
     return counts
@@ -411,21 +195,6 @@ def b_minuscule_counts(nmax: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Functional-equation coefficient recurrences
-
-
-class CoeffPolynomial:
-    """A per-z-order coefficient: an integer polynomial keyed by exponent
-    tuples over the named variables (walk endpoint counts, so all values
-    are non-negative in a correct run)."""
-
-    __slots__ = ("variables", "coeffs")
-
-    def __init__(self, variables: tuple[str, ...], coeffs: Mapping[tuple[int, ...], int]):
-        self.variables = variables
-        self.coeffs = coeffs
-
-    def __getitem__(self, exp: tuple[int, ...]) -> int:
-        return self.coeffs.get(tuple(exp), 0)
 
 
 def _advance(
@@ -486,9 +255,10 @@ def _f_upto(order: int) -> list[dict[tuple[int, int], int]]:
     return _F_CACHE[: order + 1]
 
 
-def typeA_F_coeffs(order: int) -> list[CoeffPolynomial]:
-    """Coefficients f_0..f_order of the origin-walk series F(x, y, z)."""
-    return [CoeffPolynomial(("x", "y"), dict(f)) for f in _f_upto(order)]
+def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
+    """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
+    copy of the endpoint counts of the walks of that length, keyed (x, y)."""
+    return [dict(f) for f in _f_upto(order)]
 
 
 def typeA_counts(n: int) -> int:
@@ -541,13 +311,6 @@ def _g_tables(order: int, tmax: int, total: int | None = None):
             nxt = {key: c for key, c in nxt.items() if key[2] <= total - ell}
         prev2, prev = prev, nxt
         yield prev
-
-
-def truncated_coeffs(order: int, tmax: int) -> list[CoeffPolynomial]:
-    """Coefficients g_0..g_order of G(t, x, y, z): walks started at (h, 0)
-    carry t^h, truncated at t-degree tmax."""
-    _check_budget(order, tmax)
-    return [CoeffPolynomial(("t", "x", "y"), g) for g in _g_tables(order, tmax)]
 
 
 def truncated_counts(

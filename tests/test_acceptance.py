@@ -8,7 +8,7 @@ full` for the CLI equivalent).
 import time
 from fractions import Fraction
 
-from icsets import bijections, paths, posets, series
+from icsets import bijections, paths, posets, reference, series
 from icsets.verify import B_MINUSCULE_SEQUENCE as B_MINUSCULE
 from icsets.verify import B_ROOT_SEQUENCE as B_ROOT
 from icsets.verify import RECT_EXAMPLE_ICS as RECT_ICS
@@ -211,7 +211,7 @@ def test_criterion_10_property_suites():
         # recurrence to z^40: every step asserts exponent cancellation and
         # integer non-negativity internally
         for f in series.typeA_F_coeffs(40):
-            assert all(isinstance(c, int) and c > 0 for c in f.coeffs.values())
+            assert all(isinstance(c, int) and c > 0 for c in f.values())
         # functional-equation residual vanishes on the independent DP tables
         dp = series.walk_dp_coeffs(12)
         for ell in range(1, 13):
@@ -238,11 +238,11 @@ def test_criterion_10_property_suites():
                         add((i, j), Fraction(c))
             assert all(c == 0 for c in residual.values()), ell
         # sqrt and division invert themselves
-        x = series.TruncatedSeries.variable(("x", "y"), (8, 8), "x")
-        y = series.TruncatedSeries.variable(("x", "y"), (8, 8), "y")
+        x = reference.TruncatedSeries.variable(("x", "y"), (8, 8), "x")
+        y = reference.TruncatedSeries.variable(("x", "y"), (8, 8), "y")
         poly = (1 - x - y) * (1 - x - y) - 4 * x * y
         assert poly.sqrt() * poly.sqrt() == poly
-        assert (1 - x * y) * (1 - x * y).inverse() == series.TruncatedSeries.constant(
+        assert (1 - x * y) * (1 - x * y).inverse() == reference.TruncatedSeries.constant(
             ("x", "y"), (8, 8)
         )
         # enumeration orders are deterministic and ascending

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from icsets import bijections
 from icsets.bijections import (
     _PAIR_TO_WALK,
     NotIntervalClosed,
@@ -44,6 +45,7 @@ from icsets.posets import (
     enumerate_ics,
     family_of,
     filter_closure,
+    find_ics_violation,
     ideal_closure,
     normalize_spec,
     subset_stats,
@@ -462,6 +464,23 @@ def test_shift_map_rejections():
         shift_map(2, 2, [(1, 1)])  # misses file 2
     with pytest.raises(ValueError):
         shift_map_inverse(2, 2, [])  # empty set is not full
+    with pytest.raises(ValueError, match=r"^shift map inverse is only defined on full ICS$"):
+        shift_map_inverse(2, 2, [(1, 1)])  # the paths meet at files 1 and 3
+    with pytest.raises(ValueError, match=r"^full ICS paths do not start/end with the shift step$"):
+        shift_map_inverse(0, 1, [])  # one D step: no inner file, no shift step
+
+
+def test_shift_map_inverse_tests_the_interval_once(monkeypatch):
+    image = shift_map(3, 3, [(1, 1), (2, 1), (3, 1)])
+    calls = []
+
+    def counting(poset, members):
+        calls.append(members)
+        return find_ics_violation(poset, members)
+
+    monkeypatch.setattr(bijections, "find_ics_violation", counting)
+    assert shift_map_inverse(4, 3, image) == frozenset([(1, 1), (2, 1), (3, 1)])
+    assert len(calls) == 1
 
 
 def test_labels_outside_the_poset_are_value_errors():

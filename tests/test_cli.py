@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from icsets import cli, posets, series, verify
+from icsets import cli, posets, reference, series, verify
 from icsets.cli import main, parse_ics_json, parse_poset_spec
 from icsets.posets import ChainProduct, OrdinalSumAntichains, TruncatedRectangle, TypeARoot
 
@@ -290,8 +290,7 @@ def test_ics_coordinates_must_be_json_integers(capsys, ics, element):
 
 
 def test_series_bminuscule(capsys):
-    code, out, _ = run(capsys, "series", "bminuscule", "--order", "5")
-    assert code == 0 and out.strip() == "1, 2, 7, 26, 96, 356"
+    assert run(capsys, "series", "bminuscule", "--order", "5") == (0, "1, 2, 7, 26, 96, 356\n", "")
 
 
 def test_series_type_a(capsys):
@@ -355,10 +354,10 @@ def test_series_budget(capsys):
 def test_series_json_matches_fraction_engine(capsys, order):
     code, out, _ = run(capsys, "series", "rectangle", "--order", str(order), "--format", "json")
     assert code == 0
-    assert out == json.dumps(series.rectangle_series(order, order).to_json_dict()) + "\n"
+    assert out == json.dumps(reference.rectangle_series(order, order).to_json_dict()) + "\n"
     code, out, _ = run(capsys, "series", "bminuscule", "--order", str(order), "--format", "json")
     assert code == 0
-    assert out == json.dumps(series.b_minuscule_series(order).to_json_dict()) + "\n"
+    assert out == json.dumps(reference.b_minuscule_series(order).to_json_dict()) + "\n"
 
 
 def test_series_budget_edges(capsys):
@@ -438,6 +437,44 @@ def test_verify_cross_checks_integer_recurrences(capsys, monkeypatch):
     assert [entry[:2] for entry in bad] == [("B-minuscule", (n,)) for n in (1, 2, 3)]
 
 
+WORKED_EXAMPLES = {
+    "RECT_EXAMPLE_ICS": verify._check_rect_example,
+    "TYPE_A_EXAMPLE_ICS": verify._check_type_a_example,
+    "TRUNCATED_EXAMPLE_ICS": verify._check_truncated_example,
+}
+
+
+def _rebuilt(labels, reverse):
+    """The same frozenset built another way: inserted in reverse sorted
+    order, or copied out of a larger table."""
+    if reverse:
+        return frozenset(sorted(labels, reverse=True))
+    grown = set(labels) | {(i, j) for i in range(40) for j in range(40, 80)}
+    grown -= grown - set(labels)
+    return frozenset(grown)
+
+
+def _worked_example_texts():
+    texts = []
+    for check in WORKED_EXAMPLES.values():
+        expected, actual = check()
+        record = verify.CheckRecord("example", expected, actual, "paper-table", expected == actual, 0.0)
+        texts.append(json.dumps(record.to_json_dict()))
+    return texts
+
+
+@pytest.mark.parametrize("reverse", [True, False])
+def test_verify_records_do_not_depend_on_set_construction(monkeypatch, reverse):
+    before = _worked_example_texts()
+    rebuilt = {name: _rebuilt(getattr(verify, name), reverse) for name in WORKED_EXAMPLES}
+    # the rebuilt sets are equal, and at least one iterates in another order
+    assert all(rebuilt[name] == getattr(verify, name) for name in rebuilt)
+    assert any(repr(rebuilt[name]) != repr(getattr(verify, name)) for name in rebuilt)
+    for name, labels in rebuilt.items():
+        monkeypatch.setattr(verify, name, labels)
+    assert _worked_example_texts() == before
+
+
 # ---------------------------------------------------------------------------
 # start-up footprint
 
@@ -455,16 +492,37 @@ print(json.dumps({"loaded": loaded, "outputs": outputs}))
 """
 
 
-def test_cli_import_loads_only_what_count_and_series_run():
+def _json_from_fresh_python(script):
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_only_what_count_and_series_run():
+    report = _json_from_fresh_python(FOOTPRINT_SCRIPT)
     loaded = set(report["loaded"])
-    assert not loaded & {"dataclasses", "icsets.paths", "icsets.bijections", "icsets.verify"}
+    assert not loaded & {
+        "dataclasses",
+        "decimal",
+        "fractions",
+        "icsets.paths",
+        "icsets.bijections",
+        "icsets.reference",
+        "icsets.verify",
+    }
     assert {m for m in loaded if m.startswith("icsets")} == {"icsets", "icsets.cli", "icsets.posets", "icsets.series"}
     (map_code, map_out), (verify_code, verify_out) = report["outputs"]
     assert (map_code, map_out) == (0, "U D\n")
     assert verify_code == 0 and "[FAIL]" not in verify_out and "checks passed" in verify_out
+
+
+def test_bijections_import_loads_no_rational_arithmetic():
+    # the map command and the benchmark's sweep worker import bijections
+    script = "import json, sys; bare = set(sys.modules); import icsets.bijections; "
+    script += "print(json.dumps(sorted(set(sys.modules) - bare)))"
+    loaded = set(_json_from_fresh_python(script))
+    assert "icsets.bijections" in loaded
+    assert not loaded & {"decimal", "fractions", "icsets.reference", "icsets.verify"}

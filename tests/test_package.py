@@ -15,12 +15,12 @@ enumerate_walks motzkin_stats validate_motzkin validate_walk walk_stats
 ElementClassification NotIntervalClosed classify_elements ics_to_motzkin
 ics_to_nested_pair ics_to_walk is_full_ics motzkin_to_ics motzkin_to_nested_pair
 nested_pair_to_ics nested_pair_to_motzkin shift_map shift_map_inverse walk_to_ics
-CoeffPolynomial NegativeExponentError SeriesBudgetExceeded TruncatedSeries
+NegativeExponentError SeriesBudgetExceeded TruncatedSeries
 b_minuscule_counts b_root_counts bicolored_counts closed_form_count full_count narayana
 rectangle_counts symmetric_typeA_counts truncated_counts typeA_F_coeffs typeA_counts
 walk_dp_counts
 """.split()
-SUBMODULES = ["posets", "paths", "bijections", "series"]
+SUBMODULES = ["posets", "paths", "bijections", "series", "reference"]
 
 
 def test_star_import_resolves_every_public_name():
