@@ -12,6 +12,7 @@ _EXPORTS = {
         "ChainProduct3",
         "FinitePoset",
         "Involution",
+        "NotIntervalClosed",
         "OracleScaleExceeded",
         "OrdinalSumAntichains",
         "PosetSpec",
@@ -45,7 +46,6 @@ _EXPORTS = {
     ),
     "bijections": (
         "ElementClassification",
-        "NotIntervalClosed",
         "classify_elements",
         "ics_to_motzkin",
         "ics_to_nested_pair",

@@ -36,30 +36,22 @@ from functools import lru_cache
 from typing import Iterable
 
 from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
-from .posets import (
+from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
     ChainProduct,
     FinitePoset,
+    NotIntervalClosed,
     PosetSpec,
     TruncatedRectangle,
     _union,
     build_poset,
     family_of,
     filter_closure,
-    find_ics_violation,
     ideal_closure,
     normalize_spec,
+    require_ics,
 )
 
 Label = tuple[int, int]
-
-
-class NotIntervalClosed(ValueError):
-    """Input subset is not interval-closed; witness is a label triple (x, z, y)."""
-
-    def __init__(self, witness: tuple[Label, Label, Label]):
-        self.witness = witness
-        x, z, y = witness
-        super().__init__(f"not interval-closed: {x} < {z} < {y} but {z} is missing")
 
 
 _PAIR_TO_MOTZKIN = {("D", "U"): "U", ("U", "D"): "D", ("U", "U"): "H1", ("D", "D"): "H2"}
@@ -150,13 +142,6 @@ def _poset_for(spec: PosetSpec, poset: FinitePoset | None) -> FinitePoset:
     return poset if poset is not None else build_poset(spec)
 
 
-def _require_ics(poset: FinitePoset, members: frozenset[int]) -> None:
-    # pairwise, O(|I|^2); the O(|I|) closure test waits for ROADMAP item 1
-    witness = find_ics_violation(poset, members)
-    if witness is not None:
-        raise NotIntervalClosed(tuple(poset.labels[i] for i in witness))
-
-
 # ---------------------------------------------------------------------------
 # ICS <-> canonical nested pair
 
@@ -169,7 +154,7 @@ def ics_to_nested_pair(
     m, n, r = _frame(spec)
     poset = _poset_for(spec, poset)
     members = poset.indices_of(ics)
-    _require_ics(poset, members)
+    require_ics(poset, members)
     delta = _union(poset._down, members)
     th = _ideal_heights(m, n, r, poset, delta)
     bh = _ideal_heights(m, n, r, poset, delta & ~poset.mask_of(members))
@@ -292,7 +277,7 @@ def classify_elements(
     _frame(spec)  # restrict to the rectangle-like families
     poset = _poset_for(spec, poset)
     members = poset.indices_of(ics)
-    _require_ics(poset, members)
+    require_ics(poset, members)
     delta = ideal_closure(poset, members)
     nabla = filter_closure(poset, members)
     everything = frozenset(range(poset.n))
@@ -332,7 +317,7 @@ def shift_map(
         )
     poset = _poset_for(ChainProduct(m, n), poset)
     members = poset.indices_of(ics)
-    _require_ics(poset, members)
+    require_ics(poset, members)
     # the upper path bounds the ideal closure, the lower one the elements above no member
     upper = _ideal_heights(m, n, 0, poset, _union(poset._down, members))
     lower = _ideal_heights(m, n, 0, poset, ~_union(poset._up, members))

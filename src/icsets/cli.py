@@ -22,6 +22,7 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -85,33 +86,62 @@ def format_labels(labels) -> str:
 # count
 
 
+@contextlib.contextmanager
+def _full_decimal_digits():
+    """Lift the interpreter's limit on int-to-decimal conversion (4300 digits
+    by default; absent before Python 3.10.7) while counts are printed: the
+    limit guards the parsing of untrusted text, which keeps it, and each
+    engine bounds the size of its own counts."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_count(args) -> int:
+    """Count with the engine named, or with every engine that applies: under
+    --method all, the oracle past its element bound and an engine past its
+    budget are skipped, and a budget is reported only if no engine answered."""
     spec = parse_poset_spec(args.spec)
     family = posets.family_of(spec)
     method = args.method
     results: dict[str, int] = {}
-    if method in ("oracle", "all"):
-        poset = posets.build_poset(spec)
-        if method == "oracle" or poset.n <= posets.ICS_ENUMERATION_BOUND:
-            results["oracle"] = posets.count_ics(poset)
+    size = family.size(spec)
+    if method == "oracle" or (method == "all" and size <= posets.ICS_ENUMERATION_BOUND):
+        posets.check_oracle_scale(size)  # before building
+        results["oracle"] = posets.count_ics(posets.build_poset(spec))
+    over_budget = None
     for name, engine, missing in (
         ("formula", family.formula, "no closed formula"),
         ("series", family.series, "no series engine"),
     ):
         if method in (name, "all"):
-            value = engine(spec)
+            try:
+                value = engine(spec)
+            except series.SeriesBudgetExceeded as exc:
+                if method == name:
+                    raise
+                over_budget = over_budget or exc
+                continue
             if value is not None:
                 results[name] = value
             elif method == name:
                 raise ValueError(f"{missing} for {args.spec}")
     if not results:
+        if over_budget is not None:
+            raise over_budget
         raise ValueError(f"no applicable counting method for {args.spec}")
-    if args.json:
-        print(json.dumps({"spec": args.spec, "counts": {k: str(v) for k, v in results.items()}}))
-    else:
-        print(", ".join(str(v) for v in results.values()))
-    if len(set(results.values())) > 1:
-        raise VerificationFailure(f"methods disagree: {results}")
+    with _full_decimal_digits():
+        if args.json:
+            print(json.dumps({"spec": args.spec, "counts": {k: str(v) for k, v in results.items()}}))
+        else:
+            print(", ".join(str(v) for v in results.values()))
+        if len(set(results.values())) > 1:
+            raise VerificationFailure(f"methods disagree: {results}")
     return EXIT_OK
 
 
@@ -123,6 +153,7 @@ def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be non-negative")
     spec = parse_poset_spec(args.spec)
+    posets.check_oracle_scale(posets.family_of(spec).size(spec))  # before building
     poset = posets.build_poset(spec)
     stream = (
         sorted(poset.labels_of(s))
@@ -142,10 +173,7 @@ def cmd_stats(args) -> int:
     poset = posets.build_poset(spec)
     labels = parse_ics_json(args.ics)
     members = poset.indices_of(labels)
-    witness = posets.find_ics_violation(poset, members)
-    if witness is not None:
-        x, z, y = (poset.labels[i] for i in witness)
-        raise ValueError(f"not interval-closed: {x} < {z} < {y} but {z} is missing")
+    posets.require_ics(poset, members)
     st = posets.subset_stats(poset, members)
     payload = {
         "cardinality": st.cardinality,
@@ -376,7 +404,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (posets.OracleScaleExceeded, series.SeriesBudgetExceeded) as exc:
+    except (
+        posets.OracleScaleExceeded,
+        posets.PosetScaleExceeded,
+        series.SeriesBudgetExceeded,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
     except VerificationFailure as exc:

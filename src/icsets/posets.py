@@ -92,14 +92,32 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
+from operator import mul
 
 from . import series
 
 ICS_ENUMERATION_BOUND = 30
+# build_poset refuses a spec past either count before it lists a label; each
+# bound costs about 0.1 s to build on a 2-vCPU VM with Python 3.11
+# (rect:100x100 has 10,000 elements; ordinal sums take about 1 us per cover)
+BUILD_BOUNDS = {"elements": 10_000, "covers": 100_000}
 
 
 class OracleScaleExceeded(RuntimeError):
     """Raised when a brute-force enumeration is asked to run above its bound."""
+
+
+class PosetScaleExceeded(RuntimeError):
+    """Raised when a spec describes a poset too large to build."""
+
+
+class NotIntervalClosed(ValueError):
+    """Input subset is not interval-closed; witness is a label triple (x, z, y)."""
+
+    def __init__(self, witness: tuple[tuple, tuple, tuple]):
+        self.witness = witness
+        x, z, y = witness
+        super().__init__(f"not interval-closed: {x} < {z} < {y} but {z} is missing")
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +219,12 @@ class Family:
         parse: Callable[[str], PosetSpec],  # text after the colon; ValueError if malformed
         check: Callable[[PosetSpec], PosetSpec],  # validated, normalised; ValueError if out of range
         labels: Callable[[PosetSpec], list[tuple]],  # element labels of a checked spec
+        size: Callable[[PosetSpec], int],  # len(labels(spec)), without listing them
         # spec -> (label -> labels covering it; those outside the poset are dropped)
         upper_covers: Callable = lambda spec: _unit_steps,
+        # number of covers, where they can outnumber the elements many times
+        # over; unit steps are at most three per element, bounded with them
+        covers: Callable[[PosetSpec], int] = lambda spec: 0,
         # (m, n, r): [m] x [n] minus its bottom r ranks, where the path maps apply
         frame: Callable[[PosetSpec], tuple[int, int, int] | None] = lambda spec: None,
         formula: Callable[[PosetSpec], int | None] = lambda spec: None,  # closed-formula count
@@ -213,7 +235,9 @@ class Family:
         self.parse = parse
         self.check = check
         self.labels = labels
+        self.size = size
         self.upper_covers = upper_covers
+        self.covers = covers
         self.frame = frame
         self.formula = formula
         self.series = series
@@ -273,10 +297,10 @@ def _truncated_box(m: int, n: int, r: int) -> list[tuple[int, int]]:
 
 
 def _next_block(spec: OrdinalSumAntichains):
-    # every element of the next block covers the label; positions beyond that
-    # block's size, and blocks beyond the last, are not labels and are dropped
-    positions = range(1, max(spec.sizes, default=0) + 1)
-    return lambda label: [(label[0] + 1, pos) for pos in positions]
+    # every element of the next block covers the label; past the last block
+    # the padded size 0 gives none
+    sizes = (*spec.sizes, 0)
+    return lambda label: [(label[0] + 1, pos) for pos in range(1, sizes[label[0]] + 1)]
 
 
 def _rectangle_formula(m: int, n: int) -> int | None:
@@ -293,6 +317,7 @@ FAMILIES = (
         parse=lambda text: ChainProduct(*_ints(text, "x")),
         check=_nonnegative("chain product"),
         labels=lambda s: _box(s.m, s.n),
+        size=lambda s: s.m * s.n,
         frame=lambda s: (s.m, s.n, 0),
         formula=lambda s: _rectangle_formula(s.m, s.n),
         series=lambda s: series.rectangle_counts(s.m, s.n)[(s.m, s.n)],
@@ -302,6 +327,7 @@ FAMILIES = (
         parse=lambda text: TruncatedRectangle(*_ints(text, "x", ":")),
         check=_check_truncated,
         labels=lambda s: _truncated_box(s.m, s.n, s.r),
+        size=lambda s: s.m * s.n - s.r * (s.r + 1) // 2,  # r <= min(m, n): every a + b <= r + 1 is cut
         frame=lambda s: (s.m, s.n, s.r),
         formula=lambda s: _rectangle_formula(s.m, s.n) if s.r == 0 else None,
         series=lambda s: series.truncated_counts(s.m, s.n)[(s.m, s.n, s.r)],
@@ -311,6 +337,7 @@ FAMILIES = (
         parse=lambda text: TypeARoot(*_ints(text)),
         check=_nonnegative("root triangle"),
         labels=lambda s: _truncated_box(s.k + 1, s.k + 1, s.k + 1),
+        size=lambda s: s.k * (s.k + 1) // 2,
         frame=lambda s: (s.k + 1, s.k + 1, s.k + 1),
         series=lambda s: series.typeA_counts(s.k + 1),
     ),
@@ -319,6 +346,7 @@ FAMILIES = (
         parse=lambda text: TypeBMinuscule(*_ints(text)),
         check=_nonnegative("TypeBMinuscule"),
         labels=lambda s: [(a, b) for a, b in _box(s.n, s.n) if a <= b],
+        size=lambda s: s.n * (s.n + 1) // 2,
         series=lambda s: series.b_minuscule_counts(s.n)[s.n],
     ),
     Family(
@@ -326,6 +354,7 @@ FAMILIES = (
         parse=lambda text: TypeBRoot(*_ints(text)),
         check=_nonnegative("TypeBRoot"),
         labels=lambda s: [(a, b) for a, b in _truncated_box(2 * s.n, 2 * s.n, 2 * s.n) if a <= b],
+        size=lambda s: s.n * s.n,
         series=lambda s: series.b_root_counts(s.n),
     ),
     Family(
@@ -333,7 +362,9 @@ FAMILIES = (
         parse=lambda text: OrdinalSumAntichains(_int(a) for a in text.split("+")),
         check=_check_ordinal_sum,
         labels=lambda s: [(blk, pos) for blk, size in enumerate(s.sizes, 1) for pos in range(1, size + 1)],
+        size=lambda s: sum(s.sizes),
         upper_covers=_next_block,
+        covers=lambda s: sum(map(mul, s.sizes, s.sizes[1:])),
         formula=lambda s: series.closed_form_count("ordinal_sum", s.sizes),
     ),
     Family(
@@ -341,6 +372,7 @@ FAMILIES = (
         parse=lambda text: ChainProduct3(*_ints(text, "x", "x")),
         check=_nonnegative("chain product"),
         labels=lambda s: _box(s.l, s.m, s.n),
+        size=lambda s: s.l * s.m * s.n,
     ),
 )
 FAMILY_BY_PREFIX = {family.form.partition(":")[0]: family for family in FAMILIES}
@@ -474,11 +506,21 @@ def _unit_steps(label: tuple) -> list[tuple]:
     return [label[:d] + (label[d] + 1,) + label[d + 1 :] for d in range(len(label))]
 
 
+def _check_build_scale(family: Family, spec: PosetSpec) -> None:
+    for unit, count in (("elements", family.size(spec)), ("covers", family.covers(spec))):
+        if count > BUILD_BOUNDS[unit]:
+            raise PosetScaleExceeded(
+                f"poset scale exceeded: {count} {unit} > bound {BUILD_BOUNDS[unit]}"
+            )
+
+
 @lru_cache(maxsize=128)
 def build_poset(spec: PosetSpec) -> FinitePoset:
-    """Build the poset described by spec; see the module docstring for families."""
+    """Build the poset described by spec; see the module docstring for families.
+    A spec past BUILD_BOUNDS raises PosetScaleExceeded before any label is listed."""
     family = family_of(spec)
     spec = family.check(spec)
+    _check_build_scale(family, spec)
     return FinitePoset(family.labels(spec), family.upper_covers(spec), spec)
 
 
@@ -503,6 +545,15 @@ def find_ics_violation(
 
 def is_interval_closed(poset: FinitePoset, members: Iterable[int]) -> bool:
     return find_ics_violation(poset, members) is None
+
+
+def require_ics(poset: FinitePoset, members: Iterable[int]) -> None:
+    """Raise NotIntervalClosed, naming a violating label triple, unless the
+    subset is interval-closed."""
+    # pairwise, O(|I|^2)
+    witness = find_ics_violation(poset, members)
+    if witness is not None:
+        raise NotIntervalClosed(tuple(poset.labels[i] for i in witness))
 
 
 def _union(masks: Sequence[int], members: Iterable[int]) -> int:
@@ -552,7 +603,9 @@ def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
         stack.append((k - 1, mask, below, forbidden))
 
 
-def _check_oracle_scale(size: int, unit: str = "elements") -> None:
+def check_oracle_scale(size: int, unit: str = "elements") -> None:
+    """Raise OracleScaleExceeded past ICS_ENUMERATION_BOUND; callers may check
+    a spec's size before building it."""
     if size > ICS_ENUMERATION_BOUND:
         raise OracleScaleExceeded(
             f"oracle scale exceeded: {size} {unit} > bound {ICS_ENUMERATION_BOUND}"
@@ -563,7 +616,7 @@ def enumerate_ics(
     poset: FinitePoset, limit: int | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield every ICS exactly once, ascending by bitmask encoding."""
-    _check_oracle_scale(poset.n)
+    check_oracle_scale(poset.n)
     stream = _ics_mask_stream(poset)
     if limit is not None:
         stream = itertools.islice(stream, limit)
@@ -575,7 +628,7 @@ def count_ics(poset: FinitePoset) -> int:
     """The number of ICS: the leaves of the oracle's search, counted layer by
     layer rather than visited one by one (see _count_ics_layers).  Bounded at
     30 elements like enumerate_ics, which still visits every set."""
-    _check_oracle_scale(poset.n)
+    check_oracle_scale(poset.n)
     return _count_ics_layers(poset)
 
 
@@ -667,7 +720,7 @@ def enumerate_symmetric_ics(poset: FinitePoset, sigma: Involution) -> int:
     copies that decision."""
     _check_involution(poset, sigma)
     perm = sigma.mapping
-    _check_oracle_scale(sum(1 for i, p in enumerate(perm) if p <= i), "orbits")
+    check_oracle_scale(sum(1 for i, p in enumerate(perm) if p <= i), "orbits")
     return _count_ics_layers(poset, perm)
 
 

@@ -10,17 +10,18 @@ Three independent routes to the same numbers live here:
     closed forms; icsets.reference evaluates the same formulas literally
     over exact rationals, and the tests and verify compare the two;
 
-  * per-z coefficient recurrences for the walk generating functions
-    F(x, y, z) (walks from the origin) and G(t, x, y, z) (walks from
-    (h, 0), h tracked by t), driven by the functional equation
+  * a per-z coefficient recurrence for the walk generating function
+    G(t, x, y, z) of the walks from (h, 0), h tracked by t, driven by the
+    functional equation
 
-      F = [init] + z(x + 1/x + x/y + y/x) F
-          - z(1/x + y/x) F(0,y) - z(x/y) F(x,0) - z^2 (F(x,0) - F(0,0))
+      G = 1/(1-tx) + z(x + 1/x + x/y + y/x) G
+          - z(1/x + y/x) G(0,y) - z(x/y) G(x,0) - z^2 (G(x,0) - G(0,0)).
 
-    with [init] = 1 for F and 1/(1-tx) for G.  Multiplication by 1/x and
-    x/y is carried out on an extended exponent range; every negative
-    exponent must cancel exactly, and failure to cancel is a hard error,
-    never a silent truncation;
+    F(x, y, z), which counts the walks from the origin, is G started at the
+    origin: the t^0 slice, with [init] = 1.  One engine steps both, on keys
+    (h, x, y).  Multiplication by 1/x and x/y is carried out on an extended
+    exponent range; every negative exponent must cancel exactly, and
+    failure to cancel is a hard error, never a silent truncation;
 
   * a boundary-flagged dynamic program over walk states (x, y, flag) that
     knows nothing about the functional equation and serves as the
@@ -33,10 +34,13 @@ mappings.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from operator import mul
 
 ORDER_BUDGET = 40
+# printing a count of 100,000 digits takes about 0.2 s (2-vCPU VM, Python 3.11)
+ORDINAL_SUM_DIGIT_BUDGET = 100_000
 
 
 class SeriesBudgetExceeded(RuntimeError):
@@ -129,6 +133,16 @@ def full_count(m: int, n: int) -> int:
     return bicolored_counts(m, n)[(m - 1, n - 1)]
 
 
+def _ordinal_sum_digits(sizes: list[int]) -> int:
+    """An upper bound on the decimal digits of the ordinal-sum count, from
+    the sizes alone.  One antichain of size a has 2^a ICS.  With k >= 2 and
+    largest sizes a >= b, each of the at most k^2 terms of the formula is
+    below 2^(a+b), so the count has at most a + b + 2 * bitlength(k) bits."""
+    top = sorted(sizes)[-2:]
+    bits = top[0] + 1 if len(top) == 1 else sum(top) + 2 * len(sizes).bit_length()
+    return bits * 30103 // 100000 + 1  # log10(2) < 0.30103
+
+
 def closed_form_count(family: str, params) -> int:
     """Per-family closed formulas: 'chain' n, 'ordinal_sum' sizes,
     'two_by_n' n, 'three_by_n' n."""
@@ -141,16 +155,15 @@ def closed_form_count(family: str, params) -> int:
         sizes = list(params)
         if any(a <= 0 for a in sizes):
             raise ValueError("antichain sizes must be positive")
-        singles = [2**a - 1 for a in sizes]
-        return (
-            1
-            + sum(singles)
-            + sum(
-                singles[i] * singles[j]
-                for i in range(len(singles))
-                for j in range(i + 1, len(singles))
+        digits = _ordinal_sum_digits(sizes)
+        if digits > ORDINAL_SUM_DIGIT_BUDGET:
+            raise SeriesBudgetExceeded(
+                f"ordinal-sum count of up to {digits} digits exceeds budget {ORDINAL_SUM_DIGIT_BUDGET} digits"
             )
-        )
+        # 1 + the sum of the s_i + the sum of s_i * s_j over pairs i < j
+        singles = [2**a - 1 for a in sizes]
+        total = sum(singles)
+        return 1 + total + (total * total - sum(s * s for s in singles)) // 2
     if family == "two_by_n":
         n = int(params)
         num = n**4 + 4 * n**3 + 17 * n**2 + 14 * n + 12
@@ -198,104 +211,39 @@ def b_minuscule_counts(nmax: int) -> list[int]:
 
 
 def _advance(
-    prev: dict[tuple[int, ...], int], prev2: dict[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
-    """One z-order of the walk functional equation.  Keys end in the (x, y)
-    exponent pair; leading components (the t exponent, if any) ride along."""
-    out: dict[tuple[int, ...], int] = {}
-
-    def add(key, c):
-        out[key] = out.get(key, 0) + c
-
-    for key, c in prev.items():
-        *p, i, j = key
-        add((*p, i + 1, j), c)  # times x
-        add((*p, i - 1, j), c)  # times 1/x, possibly negative for now
-        add((*p, i + 1, j - 1), c)  # times x/y
-        add((*p, i - 1, j + 1), c)  # times y/x
-    for key, c in prev.items():
-        *p, i, j = key
+    prev: dict[tuple[int, int, int], int], prev2: dict[tuple[int, int, int], int]
+) -> dict[tuple[int, int, int], int]:
+    """One z-order of the walk functional equation on keys (h, x, y): the
+    exponents of t, x and y.  The start height h rides along unchanged."""
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for (h, i, j), c in prev.items():
+        for key in ((h, i + 1, j), (h, i - 1, j), (h, i + 1, j - 1), (h, i - 1, j + 1)):
+            out[key] = get(key, 0) + c  # times x, 1/x, x/y, y/x; negative for now
         if i == 0:  # minus (1/x + y/x) times the x = 0 slice
-            add((*p, -1, j), -c)
-            add((*p, -1, j + 1), -c)
+            for key in ((h, -1, j), (h, -1, j + 1)):
+                out[key] = get(key, 0) - c
         if j == 0:  # minus (x/y) times the y = 0 slice
-            add((*p, i + 1, -1), -c)
+            key = (h, i + 1, -1)
+            out[key] = get(key, 0) - c
     for key, c in prev2.items():
-        *p, i, j = key
-        if j == 0 and i > 0:  # minus (f(x,0) - f(0,0)) one z-order back
-            add(key, -c)
+        if key[2] == 0 and key[1] > 0:  # minus (g(x,0) - g(0,0)) one z-order back
+            out[key] = get(key, 0) - c
 
-    cleaned: dict[tuple[int, ...], int] = {}
-    for key, c in out.items():
-        if c == 0:
-            continue
-        *_, i, j = key
-        if i < 0 or j < 0:
-            raise NegativeExponentError(
-                f"uncancelled exponent at {key} (coefficient {c})"
-            )
+    cleaned = {key: c for key, c in out.items() if c}
+    for key, c in cleaned.items():
+        if key[1] < 0 or key[2] < 0:
+            raise NegativeExponentError(f"uncancelled exponent at {key} (coefficient {c})")
         if c < 0:
-            raise NegativeExponentError(
-                f"negative walk count {c} at {key}; boundary terms are wrong"
-            )
-        cleaned[key] = c
+            raise NegativeExponentError(f"negative walk count {c} at {key}; boundary terms are wrong")
     return cleaned
 
 
-_F_CACHE: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
-
-
-def _f_upto(order: int) -> list[dict[tuple[int, int], int]]:
-    _check_budget(order)
-    while len(_F_CACHE) <= order:
-        ell = len(_F_CACHE)
-        prev = _F_CACHE[ell - 1]
-        prev2 = _F_CACHE[ell - 2] if ell >= 2 else {}
-        _F_CACHE.append(_advance(prev, prev2))
-    return _F_CACHE[: order + 1]
-
-
-def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
-    """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
-    copy of the endpoint counts of the walks of that length, keyed (x, y)."""
-    return [dict(f) for f in _f_upto(order)]
-
-
-def typeA_counts(n: int) -> int:
-    """Number of ICS of the root triangle with n - 1 minimal elements: the
-    constant term at z-order 2n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _f_upto(2 * n)[2 * n].get((0, 0), 0)
-
-
-def symmetric_typeA_counts(order: int) -> list[int]:
-    """Per length l, walks from the origin not ending with W on the x-axis:
-    mirror-symmetric ICS of the root triangle with l - 1 minimal elements."""
-    fs = _f_upto(order)
-    out = [1]
-    for ell in range(1, order + 1):
-        total = sum(fs[ell].values())
-        end_w_on_axis = sum(
-            c for (i, j), c in fs[ell - 1].items() if j == 0 and i > 0
-        )
-        out.append(total - end_w_on_axis)
-    return out
-
-
-def b_root_counts(n: int) -> int:
-    """Number of ICS of the type B root poset of rank n: symmetric count at
-    even length 2n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return symmetric_typeA_counts(2 * n)[2 * n]
-
-
 def _g_tables(order: int, tmax: int, total: int | None = None):
-    """Yield g_0..g_order of G(t, x, y, z), holding only the two tables that
-    _advance reads.  With a total, keys whose y-exponent exceeds total - l
-    are dropped from g_l; the y = 0 coefficients up to z-order total stay
-    exact:
+    """Yield g_0..g_order of G(t, x, y, z) for the starts h <= tmax, holding
+    only the two tables that _advance reads.  With a total, keys whose
+    y-exponent exceeds total - l are dropped from g_l; the y = 0 coefficients
+    up to z-order total stay exact:
       * each step lowers y by at most one (only the x/y term does);
       * the boundary terms cancel the 1/x and x/y images of their own
         source key, so a kept key's contribution never needs a dropped one;
@@ -311,6 +259,57 @@ def _g_tables(order: int, tmax: int, total: int | None = None):
             nxt = {key: c for key, c in nxt.items() if key[2] <= total - ell}
         prev2, prev = prev, nxt
         yield prev
+
+
+# F is G started at the origin, keyed (0, x, y).  cmd_series reads one n at a
+# time, so the tables are kept and the paused generator steps on only on demand.
+_F_CACHE: list[dict[tuple[int, int, int], int]] = []
+_F_STEPS = _g_tables(ORDER_BUDGET, 0)
+
+
+def _f_upto(order: int) -> list[dict[tuple[int, int, int], int]]:
+    _check_budget(order)
+    _F_CACHE.extend(islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))))
+    return _F_CACHE[: order + 1]
+
+
+def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
+    """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
+    copy of the endpoint counts of the walks of that length, keyed (x, y)."""
+    return [{(i, j): c for (_, i, j), c in f.items()} for f in _f_upto(order)]
+
+
+def typeA_counts(n: int) -> int:
+    """Number of ICS of the root triangle with n - 1 minimal elements: the
+    constant term at z-order 2n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _f_upto(2 * n)[2 * n].get((0, 0, 0), 0)
+
+
+def _symmetric_walks(fs: list[dict[tuple[int, int, int], int]], ell: int) -> int:
+    """Walks of length ell from the origin that do not end with W on the
+    x-axis: all of them, less one W step appended to each walk of length
+    ell - 1 that ends on the x-axis off the origin."""
+    total = sum(fs[ell].values())
+    if ell:
+        total -= sum(c for (_, i, j), c in fs[ell - 1].items() if j == 0 and i > 0)
+    return total
+
+
+def symmetric_typeA_counts(order: int) -> list[int]:
+    """Per length l, walks from the origin not ending with W on the x-axis:
+    mirror-symmetric ICS of the root triangle with l - 1 minimal elements."""
+    fs = _f_upto(order)
+    return [_symmetric_walks(fs, ell) for ell in range(order + 1)]
+
+
+def b_root_counts(n: int) -> int:
+    """Number of ICS of the type B root poset of rank n: symmetric count at
+    even length 2n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _symmetric_walks(_f_upto(2 * n), 2 * n)
 
 
 def truncated_counts(

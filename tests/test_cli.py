@@ -85,6 +85,111 @@ def test_count_scale_exceeded(capsys):
     assert code == 3 and "scale exceeded" in err
 
 
+def test_count_all_skips_an_engine_past_its_budget(capsys):
+    # the series engine is past its budget, and the formula answers
+    assert run(capsys, "count", "rect:100x2") == (0, "8680951\n", "")
+    assert run(capsys, "count", "rect:100x2", "--json") == (
+        0,
+        '{"spec": "rect:100x2", "counts": {"formula": "8680951"}}\n',
+        "",
+    )
+    # asked for by name, the engine still exits 3
+    assert run(capsys, "count", "rect:100x2", "--method", "series") == (
+        3,
+        "",
+        "error: order 100 exceeds budget 40\n",
+    )
+    # with no engine answering, the budget is the error
+    assert run(capsys, "count", "rect:41x41") == (3, "", "error: order 41 exceeds budget 40\n")
+
+
+HUGE = "99999999999"  # 2 * HUGE labels would exhaust memory if they were listed
+ORACLE_BOUND = "oracle scale exceeded: 199999999998 elements > bound 30"
+BUILD_BOUND = "poset scale exceeded: 199999999998 elements > bound 10000"
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("count", f"rect:{HUGE}x2", "--method", "oracle"), 3, ORACLE_BOUND),
+        (("enumerate", f"rect:{HUGE}x2", "--limit", "1"), 3, ORACLE_BOUND),
+        (("stats", f"rect:{HUGE}x2", "[]"), 3, BUILD_BOUND),
+        (("map", f"rect:{HUGE}x2", "[]", "--to", "motzkin"), 3, BUILD_BOUND),
+        (("count", f"rootA:{HUGE}"), 3, "order 200000000000 exceeds budget 40"),
+        (("count", f"minB:{HUGE}"), 3, "order 99999999999 exceeds budget 40"),
+        (("count", f"rootB:{HUGE}"), 3, "order 199999999998 exceeds budget 40"),
+        (("count", f"trunc:{HUGE}x2:1"), 3, "order 100000000001 exceeds budget 40"),
+        (("count", f"cube:{HUGE}x2x2"), 2, f"no applicable counting method for cube:{HUGE}x2x2"),
+    ],
+)
+def test_specs_too_large_to_build_stop_before_listing_labels(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_count_answers_a_spec_too_large_to_build_by_formula(capsys):
+    expected = series.closed_form_count("two_by_n", int(HUGE))
+    assert run(capsys, "count", f"rect:{HUGE}x2") == (0, f"{expected}\n", "")
+
+
+def _cli_in_capped_process(*argv):
+    """Run the CLI in a fresh process with a 20 s timeout and 1 GiB of
+    address space, so a spec that runs away fails the test instead of the
+    machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "icsets.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+        preexec_fn=cap,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("method", ["all", "formula"])
+def test_ordinal_sum_counts_print_in_full(method):
+    # 6021 digits, past the interpreter's 4300-digit conversion limit
+    with cli._full_decimal_digits():
+        expected = str(2**20000)
+    assert _cli_in_capped_process("count", "ordsum:20000", "--method", method) == (
+        0,
+        expected + "\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("count", f"ordsum:{HUGE}"),
+            "ordinal-sum count of up to 30103000001 digits exceeds budget 100000 digits",
+        ),
+        (
+            ("count", f"ordsum:{HUGE}", "--method", "formula"),
+            "ordinal-sum count of up to 30103000001 digits exceeds budget 100000 digits",
+        ),
+        (("count", "ordsum:2000", "--method", "oracle"), "oracle scale exceeded: 2000 elements > bound 30"),
+        (("stats", "ordsum:20000", "[]"), "poset scale exceeded: 20000 elements > bound 10000"),
+        (("stats", "ordsum:400+400", "[]"), "poset scale exceeded: 160000 covers > bound 100000"),
+    ],
+)
+def test_ordinal_sums_past_a_bound_exit_3_at_once(argv, message):
+    assert _cli_in_capped_process(*argv) == (3, "", f"error: {message}\n")
+
+
+def test_spec_parsing_keeps_the_digit_limit(capsys):
+    spec = "ordsum:" + "1" * 5000
+    assert run(capsys, "count", spec) == (2, "", f"error: bad poset spec {spec!r}: expected ordsum:2+3+1\n")
+
+
 def test_count_no_formula(capsys):
     code, _, err = run(capsys, "count", "rootB:3", "--method", "formula")
     assert code == 2 and "no closed formula" in err
@@ -202,6 +307,12 @@ def test_map_classify(capsys):
     assert payload["below_only"] == []
     assert payload["above_only"] == [[1, 2], [2, 1], [2, 2]]
     assert payload["incomparable"] == []
+
+
+def test_stats_and_map_name_the_same_violating_triple(capsys):
+    message = "error: not interval-closed: (1, 1) < (1, 2) < (2, 2) but (1, 2) is missing\n"
+    assert run(capsys, "stats", "rect:2x2", "[[1,1],[2,2]]") == (2, "", message)
+    assert run(capsys, "map", "rect:2x2", "[[1,1],[2,2]]", "--to", "motzkin") == (2, "", message)
 
 
 def test_map_rejects_non_ics(capsys):

@@ -15,10 +15,13 @@ from icsets.cli import parse_poset_spec
 from icsets.posets import (
     ChainProduct,
     ChainProduct3,
+    FAMILIES,
     ICS_ENUMERATION_BOUND,
     Involution,
+    NotIntervalClosed,
     OracleScaleExceeded,
     OrdinalSumAntichains,
+    PosetScaleExceeded,
     SubsetStats,
     TruncatedRectangle,
     TypeARoot,
@@ -36,6 +39,7 @@ from icsets.posets import (
     is_interval_closed,
     make_involution,
     normalize_spec,
+    require_ics,
     subset_stats,
     vertical_involution,
 )
@@ -592,6 +596,60 @@ def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
         poset.minimal_mask,
     )
     assert built == _reference_order(poset, leq_labels)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS + ORDINAL_SUM_SPECS, ids=str)
+def test_size_and_covers_are_read_off_the_spec(spec):
+    family = family_of(spec)
+    poset = build_poset(spec)
+    assert family.size(spec) == len(family.labels(spec)) == poset.n
+    if isinstance(spec, OrdinalSumAntichains):
+        assert family.covers(spec) == len(poset.covers)
+    else:  # unit steps, bounded with the elements
+        assert family.covers(spec) == 0 and len(poset.covers) <= 3 * poset.n
+
+
+def test_build_refuses_a_spec_past_its_bounds_before_listing_labels(monkeypatch):
+    for family in FAMILIES:
+        monkeypatch.setattr(family, "labels", lambda spec: pytest.fail("labels listed"))
+    with pytest.raises(
+        PosetScaleExceeded, match=r"^poset scale exceeded: 199999999998 elements > bound 10000$"
+    ):
+        build_poset(ChainProduct(99999999999, 2))
+    with pytest.raises(
+        PosetScaleExceeded, match=r"^poset scale exceeded: 10001 elements > bound 10000$"
+    ):
+        build_poset(OrdinalSumAntichains((10001,)))
+    with pytest.raises(
+        PosetScaleExceeded, match=r"^poset scale exceeded: 100400 covers > bound 100000$"
+    ):
+        build_poset(OrdinalSumAntichains((251, 400)))
+
+
+def test_build_accepts_a_spec_at_its_bounds():
+    assert build_poset(OrdinalSumAntichains((10000,))).n == 10000
+    assert len(build_poset(OrdinalSumAntichains((250, 400))).covers) == 100000
+
+
+def test_ordinal_sum_covers_list_only_the_next_block():
+    spec = OrdinalSumAntichains((3, 1, 2))
+    covers = family_of(spec).upper_covers(spec)
+    assert covers((1, 2)) == [(2, 1)]
+    assert covers((2, 1)) == [(3, 1), (3, 2)]
+    assert covers((3, 2)) == []
+
+
+def test_not_interval_closed_is_raised_by_posets_and_named_by_every_module():
+    import icsets
+    from icsets import bijections
+
+    assert bijections.NotIntervalClosed is icsets.NotIntervalClosed is NotIntervalClosed
+    poset = build_poset(ChainProduct(2, 2))
+    assert require_ics(poset, poset.indices_of([(1, 1), (1, 2)])) is None
+    with pytest.raises(NotIntervalClosed) as info:
+        require_ics(poset, poset.indices_of([(1, 1), (2, 2)]))
+    assert info.value.witness == ((1, 1), (1, 2), (2, 2))
+    assert str(info.value) == "not interval-closed: (1, 1) < (1, 2) < (2, 2) but (1, 2) is missing"
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,25 @@ def test_budget():
         typeA_counts(21)
 
 
+def test_ordinal_sum_formula_refuses_a_count_past_its_digit_budget():
+    # checked from the sizes, before 2^99999999999 is computed
+    with pytest.raises(
+        SeriesBudgetExceeded,
+        match=r"^ordinal-sum count of up to 30103000001 digits exceeds budget 100000 digits$",
+    ):
+        closed_form_count("ordinal_sum", [99999999999])
+    assert closed_form_count("ordinal_sum", [20000]) == 2**20000
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1,), (30,), (1, 1), (5, 3, 5), (1,) * 50, (200, 7), (64, 64, 64), (9, 1, 9, 1)]
+)
+def test_ordinal_sum_digit_bound_holds_and_is_close(sizes):
+    digits = len(str(closed_form_count("ordinal_sum", sizes)))
+    bound = series._ordinal_sum_digits(list(sizes))
+    assert digits <= bound <= digits + 1 + len(sizes).bit_length()
+
+
 # ---------------------------------------------------------------------------
 # rectangle generating function
 
@@ -252,7 +271,7 @@ def test_coefficients_are_nonnegative_to_deep_order():
 
 
 def test_f_equals_walk_dp():
-    assert typeA_F_coeffs(12) == walk_dp_coeffs(12)
+    assert typeA_F_coeffs(40) == walk_dp_coeffs(40)
 
 
 def _axis_slice(table, axis):
@@ -299,6 +318,11 @@ def test_symmetric_counts_small():
 
 def test_b_root_sequence():
     assert [b_root_counts(n) for n in range(1, 10)] == B_ROOT
+
+
+def test_b_root_reads_the_symmetric_count_at_even_length():
+    symmetric = symmetric_typeA_counts(40)
+    assert [b_root_counts(n) for n in range(21)] == symmetric[::2]
 
 
 def test_b_root_oracle():
@@ -413,9 +437,9 @@ def test_advance_cancels_boundary_exponents():
 
     # mass on both axes exercises every 1/x and x/y shift; all the negative
     # exponents they create must be gone from the result
-    out = _advance({(0, 0): 1, (0, 2): 3, (2, 0): 5}, {})
-    assert all(i >= 0 and j >= 0 for i, j in out)
-    assert _advance({(0, 0): 1}, {}) == {(1, 0): 1}  # origin can only step E
+    out = _advance({(0, 0, 0): 1, (0, 0, 2): 3, (0, 2, 0): 5}, {})
+    assert all(i >= 0 and j >= 0 for _, i, j in out)
+    assert _advance({(0, 0, 0): 1}, {}) == {(0, 1, 0): 1}  # origin can only step E
 
 
 def test_advance_rejects_negative_counts():
@@ -423,4 +447,4 @@ def test_advance_rejects_negative_counts():
 
     # prev2 carrying more axis mass than walks allow drives a count negative
     with pytest.raises(NegativeExponentError):
-        _advance({(1, 0): 1}, {(2, 0): 99})
+        _advance({(0, 1, 0): 1}, {(0, 2, 0): 99})
