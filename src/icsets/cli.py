@@ -35,6 +35,9 @@ EXIT_VERIFY = 4
 
 DEFAULT_SERIES_ORDER = 10
 
+# every bound on a poset's size or an engine's work; each exits 3
+SCALE_ERRORS = (posets.OracleScaleExceeded, posets.PosetScaleExceeded, series.SeriesBudgetExceeded)
+
 
 class VerificationFailure(RuntimeError):
     pass
@@ -104,37 +107,34 @@ def _full_decimal_digits():
 
 def cmd_count(args) -> int:
     """Count with the engine named, or with every engine that applies: under
-    --method all, the oracle past its element bound and an engine past its
-    budget are skipped, and a budget is reported only if no engine answered."""
+    --method all, an engine past a bound is skipped, and if no engine answers,
+    the last engine's scale error is raised.  The oracle applies to every
+    family, so under --method all some engine answers or raises."""
     spec = parse_poset_spec(args.spec)
     family = posets.family_of(spec)
     method = args.method
     results: dict[str, int] = {}
-    size = family.size(spec)
-    if method == "oracle" or (method == "all" and size <= posets.ICS_ENUMERATION_BOUND):
-        posets.check_oracle_scale(size)  # before building
-        results["oracle"] = posets.count_ics(posets.build_poset(spec))
-    over_budget = None
+    skipped = None
     for name, engine, missing in (
+        ("oracle", lambda s: posets.count_ics(posets.build_poset(family.count_spec(s))), None),
         ("formula", family.formula, "no closed formula"),
         ("series", family.series, "no series engine"),
     ):
-        if method in (name, "all"):
-            try:
-                value = engine(spec)
-            except series.SeriesBudgetExceeded as exc:
-                if method == name:
-                    raise
-                over_budget = over_budget or exc
-                continue
-            if value is not None:
-                results[name] = value
-            elif method == name:
-                raise ValueError(f"{missing} for {args.spec}")
+        if method not in (name, "all"):
+            continue
+        try:
+            value = engine(spec)
+        except SCALE_ERRORS as exc:
+            if method == name:
+                raise
+            skipped = exc
+            continue
+        if value is not None:
+            results[name] = value
+        elif method == name:
+            raise ValueError(f"{missing} for {args.spec}")
     if not results:
-        if over_budget is not None:
-            raise over_budget
-        raise ValueError(f"no applicable counting method for {args.spec}")
+        raise skipped
     with _full_decimal_digits():
         if args.json:
             print(json.dumps({"spec": args.spec, "counts": {k: str(v) for k, v in results.items()}}))
@@ -404,11 +404,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        posets.OracleScaleExceeded,
-        posets.PosetScaleExceeded,
-        series.SeriesBudgetExceeded,
-    ) as exc:
+    except SCALE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCALE
     except VerificationFailure as exc:

@@ -85,6 +85,18 @@ The oracle's interval test:
   wider than the search is at that depth and the count never does more steps
   than the enumeration; most families merge heavily (ordsum:30 has one state
   per layer against 2^30 leaves).
+
+  The layered count bounds its own work, not the poset's size: it charges
+  every state it steps and refuses (OracleScaleExceeded) once the running
+  charge passes LAYERED_COUNT_WORK_BOUND.  A state of layer k holds three
+  masks cut to k bits, and the big-integer ORs and ANDs on them cost in
+  proportion to that length: on a 2-vCPU VM with Python 3.11 a state costs
+  about 1 us while its masks are under about a thousand bits and about ten
+  times that at 10,000 bits, and its memory grows the same way.  A state of layer k is therefore charged
+  1 + k // 1024.  The layer width, and so the work, depends on the index
+  order: rect:200x4 (files of 4 elements) takes about 12,000 states and
+  rect:4x200 about ten million, so count reads each grid family in the
+  spelling with its longest side first (Family.count_spec).
 """
 
 from __future__ import annotations
@@ -96,7 +108,9 @@ from operator import mul
 
 from . import series
 
-ICS_ENUMERATION_BOUND = 30
+ICS_ENUMERATION_BOUND = 30  # elements, for enumerate_ics, which visits every set
+# states that _count_ics_layers steps, each charged by its mask length
+LAYERED_COUNT_WORK_BOUND = 2_000_000
 # build_poset refuses a spec past either count before it lists a label; each
 # bound costs about 0.1 s to build on a 2-vCPU VM with Python 3.11
 # (rect:100x100 has 10,000 elements; ordinal sums take about 1 us per cover)
@@ -104,7 +118,7 @@ BUILD_BOUNDS = {"elements": 10_000, "covers": 100_000}
 
 
 class OracleScaleExceeded(RuntimeError):
-    """Raised when a brute-force enumeration is asked to run above its bound."""
+    """Raised when the oracle's enumeration or count passes its bound."""
 
 
 class PosetScaleExceeded(RuntimeError):
@@ -227,6 +241,9 @@ class Family:
         covers: Callable[[PosetSpec], int] = lambda spec: 0,
         # (m, n, r): [m] x [n] minus its bottom r ranks, where the path maps apply
         frame: Callable[[PosetSpec], tuple[int, int, int] | None] = lambda spec: None,
+        # an isomorphic spec whose index order keeps the layered count's layers
+        # narrow: grids with the longest side first, so that files are short
+        count_spec: Callable[[PosetSpec], PosetSpec] = lambda spec: spec,
         formula: Callable[[PosetSpec], int | None] = lambda spec: None,  # closed-formula count
         series: Callable[[PosetSpec], int | None] = lambda spec: None,  # generating-function count
     ):
@@ -239,6 +256,7 @@ class Family:
         self.upper_covers = upper_covers
         self.covers = covers
         self.frame = frame
+        self.count_spec = count_spec
         self.formula = formula
         self.series = series
 
@@ -319,6 +337,7 @@ FAMILIES = (
         labels=lambda s: _box(s.m, s.n),
         size=lambda s: s.m * s.n,
         frame=lambda s: (s.m, s.n, 0),
+        count_spec=lambda s: ChainProduct(max(s.m, s.n), min(s.m, s.n)),
         formula=lambda s: _rectangle_formula(s.m, s.n),
         series=lambda s: series.rectangle_counts(s.m, s.n)[(s.m, s.n)],
     ),
@@ -329,6 +348,7 @@ FAMILIES = (
         labels=lambda s: _truncated_box(s.m, s.n, s.r),
         size=lambda s: s.m * s.n - s.r * (s.r + 1) // 2,  # r <= min(m, n): every a + b <= r + 1 is cut
         frame=lambda s: (s.m, s.n, s.r),
+        count_spec=lambda s: TruncatedRectangle(max(s.m, s.n), min(s.m, s.n), s.r),
         formula=lambda s: _rectangle_formula(s.m, s.n) if s.r == 0 else None,
         series=lambda s: series.truncated_counts(s.m, s.n)[(s.m, s.n, s.r)],
     ),
@@ -373,6 +393,7 @@ FAMILIES = (
         check=_nonnegative("chain product"),
         labels=lambda s: _box(s.l, s.m, s.n),
         size=lambda s: s.l * s.m * s.n,
+        count_spec=lambda s: ChainProduct3(*sorted((s.l, s.m, s.n), reverse=True)),
     ),
 )
 FAMILY_BY_PREFIX = {family.form.partition(":")[0]: family for family in FAMILIES}
@@ -603,12 +624,12 @@ def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
         stack.append((k - 1, mask, below, forbidden))
 
 
-def check_oracle_scale(size: int, unit: str = "elements") -> None:
-    """Raise OracleScaleExceeded past ICS_ENUMERATION_BOUND; callers may check
-    a spec's size before building it."""
+def check_oracle_scale(size: int) -> None:
+    """Raise OracleScaleExceeded past ICS_ENUMERATION_BOUND elements; callers
+    may check a spec's size before building it."""
     if size > ICS_ENUMERATION_BOUND:
         raise OracleScaleExceeded(
-            f"oracle scale exceeded: {size} {unit} > bound {ICS_ENUMERATION_BOUND}"
+            f"oracle scale exceeded: {size} elements > bound {ICS_ENUMERATION_BOUND}"
         )
 
 
@@ -626,9 +647,7 @@ def enumerate_ics(
 
 def count_ics(poset: FinitePoset) -> int:
     """The number of ICS: the leaves of the oracle's search, counted layer by
-    layer rather than visited one by one (see _count_ics_layers).  Bounded at
-    30 elements like enumerate_ics, which still visits every set."""
-    check_oracle_scale(poset.n)
+    layer rather than visited one by one (see _count_ics_layers)."""
     return _count_ics_layers(poset)
 
 
@@ -641,13 +660,21 @@ def _count_ics_layers(poset: FinitePoset, perm: Sequence[int] | None = None) -> 
     the undecided elements whose partner was chosen, and stays 0 without perm.
     Deciding k applies the oracle's exclude and include rules and the partner
     rule to every state of the layer.  The count is the sum over the last
-    layer.  See the module docstring for why the cut state suffices.
+    layer.  See the module docstring for why the cut state suffices and how
+    the work is bounded.
     """
     down_strict = poset._down_strict
     if perm is None:
         perm = range(poset.n)
+    work = 0
     layer = {(0, 0, 0): 1}  # (below, forbidden, copied) -> multiplicity
     for k in reversed(range(poset.n)):
+        work += len(layer) * (1 + k // 1024)
+        if work > LAYERED_COUNT_WORK_BOUND:
+            raise OracleScaleExceeded(
+                f"oracle scale exceeded: layered count work {work} > bound "
+                f"{LAYERED_COUNT_WORK_BOUND} with {k + 1} of {poset.n} elements left"
+            )
         bit = 1 << k
         low = bit - 1
         partner = perm[k]
@@ -719,9 +746,7 @@ def enumerate_symmetric_ics(poset: FinitePoset, sigma: Involution) -> int:
     oracle's search, in which an element whose partner was decided first
     copies that decision."""
     _check_involution(poset, sigma)
-    perm = sigma.mapping
-    check_oracle_scale(sum(1 for i, p in enumerate(perm) if p <= i), "orbits")
-    return _count_ics_layers(poset, perm)
+    return _count_ics_layers(poset, sigma.mapping)
 
 
 # ---------------------------------------------------------------------------

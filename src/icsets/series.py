@@ -319,9 +319,10 @@ def truncated_counts(
     m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
     r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
     the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped only to
-    z-order total, with keys beyond the y-horizon of _g_tables dropped."""
+    z-order total, with keys beyond the y-horizon of _g_tables dropped; the
+    budget bounds that z-order and the highest start nmax."""
     total = mmax + nmax if total is None else min(total, mmax + nmax)
-    _check_budget(mmax + nmax, nmax, total)
+    _check_budget(total, nmax)
     out = {}
     for ell, g in enumerate(_g_tables(total, nmax, total)):
         for m in range(max(0, ell - nmax), min(mmax, ell) + 1):

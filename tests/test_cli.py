@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,17 +81,22 @@ def test_count_oracle_counts_past_what_it_could_enumerate(capsys):
     assert payload["counts"] == {"oracle": "1073741824", "formula": "1073741824"}
 
 
-def test_count_scale_exceeded(capsys):
-    code, _, err = run(capsys, "count", "rect:6x6", "--method", "oracle")
-    assert code == 3 and "scale exceeded" in err
+def test_count_scale_exceeded(capsys, monkeypatch):
+    # the layered count's work bound, lowered so that rect:6x6 passes it
+    monkeypatch.setattr(posets, "LAYERED_COUNT_WORK_BOUND", 100)
+    assert run(capsys, "count", "rect:6x6", "--method", "oracle") == (
+        3,
+        "",
+        "error: oracle scale exceeded: layered count work 110 > bound 100 with 28 of 36 elements left\n",
+    )
 
 
-def test_count_all_skips_an_engine_past_its_budget(capsys):
-    # the series engine is past its budget, and the formula answers
-    assert run(capsys, "count", "rect:100x2") == (0, "8680951\n", "")
+def test_count_all_skips_an_engine_past_its_budget(capsys, monkeypatch):
+    # the series engine is past its budget, and the oracle and the formula answer
+    assert run(capsys, "count", "rect:100x2") == (0, "8680951, 8680951\n", "")
     assert run(capsys, "count", "rect:100x2", "--json") == (
         0,
-        '{"spec": "rect:100x2", "counts": {"formula": "8680951"}}\n',
+        '{"spec": "rect:100x2", "counts": {"oracle": "8680951", "formula": "8680951"}}\n',
         "",
     )
     # asked for by name, the engine still exits 3
@@ -99,7 +105,9 @@ def test_count_all_skips_an_engine_past_its_budget(capsys):
         "",
         "error: order 100 exceeds budget 40\n",
     )
-    # with no engine answering, the budget is the error
+    # with no engine answering, the last engine's error is the error; rect:41x41
+    # passes the work bound only near its end, so the bound is lowered here
+    monkeypatch.setattr(posets, "LAYERED_COUNT_WORK_BOUND", 1000)
     assert run(capsys, "count", "rect:41x41") == (3, "", "error: order 41 exceeds budget 40\n")
 
 
@@ -111,7 +119,7 @@ BUILD_BOUND = "poset scale exceeded: 199999999998 elements > bound 10000"
 @pytest.mark.parametrize(
     "argv,code,message",
     [
-        (("count", f"rect:{HUGE}x2", "--method", "oracle"), 3, ORACLE_BOUND),
+        (("count", f"rect:{HUGE}x2", "--method", "oracle"), 3, BUILD_BOUND),
         (("enumerate", f"rect:{HUGE}x2", "--limit", "1"), 3, ORACLE_BOUND),
         (("stats", f"rect:{HUGE}x2", "[]"), 3, BUILD_BOUND),
         (("map", f"rect:{HUGE}x2", "[]", "--to", "motzkin"), 3, BUILD_BOUND),
@@ -119,7 +127,7 @@ BUILD_BOUND = "poset scale exceeded: 199999999998 elements > bound 10000"
         (("count", f"minB:{HUGE}"), 3, "order 99999999999 exceeds budget 40"),
         (("count", f"rootB:{HUGE}"), 3, "order 199999999998 exceeds budget 40"),
         (("count", f"trunc:{HUGE}x2:1"), 3, "order 100000000001 exceeds budget 40"),
-        (("count", f"cube:{HUGE}x2x2"), 2, f"no applicable counting method for cube:{HUGE}x2x2"),
+        (("count", f"cube:{HUGE}x2x2"), 3, "poset scale exceeded: 399999999996 elements > bound 10000"),
     ],
 )
 def test_specs_too_large_to_build_stop_before_listing_labels(capsys, argv, code, message):
@@ -135,6 +143,10 @@ def _cli_in_capped_process(*argv):
     """Run the CLI in a fresh process with a 20 s timeout and 1 GiB of
     address space, so a spec that runs away fails the test instead of the
     machine."""
+    return _python_in_capped_process("-m", "icsets.cli", *argv)
+
+
+def _python_in_capped_process(*args):
     import resource
 
     def cap():
@@ -143,7 +155,7 @@ def _cli_in_capped_process(*argv):
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "icsets.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -176,13 +188,61 @@ def test_ordinal_sum_counts_print_in_full(method):
             ("count", f"ordsum:{HUGE}", "--method", "formula"),
             "ordinal-sum count of up to 30103000001 digits exceeds budget 100000 digits",
         ),
-        (("count", "ordsum:2000", "--method", "oracle"), "oracle scale exceeded: 2000 elements > bound 30"),
+        (("count", "ordsum:20000", "--method", "oracle"), "poset scale exceeded: 20000 elements > bound 10000"),
         (("stats", "ordsum:20000", "[]"), "poset scale exceeded: 20000 elements > bound 10000"),
         (("stats", "ordsum:400+400", "[]"), "poset scale exceeded: 160000 covers > bound 100000"),
     ],
 )
 def test_ordinal_sums_past_a_bound_exit_3_at_once(argv, message):
     assert _cli_in_capped_process(*argv) == (3, "", f"error: {message}\n")
+
+
+LAYERED_WORK_BOUND = r"oracle scale exceeded: layered count work \d+ > bound 2000000 with \d+ of {} elements left"
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [(("count", "rect:100x100", "--method", "oracle"), 10_000), (("count", "cube:10x10x10"), 1000)],
+)
+def test_counts_past_the_work_bound_exit_3_in_a_capped_process(argv, size):
+    code, out, err = _cli_in_capped_process(*argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(f"error: {LAYERED_WORK_BOUND.format(size)}\n", err)
+
+
+def test_symmetric_count_past_the_work_bound_raises_in_a_capped_process():
+    code = (
+        "from icsets import posets\n"
+        "square = posets.ChainProduct(12, 12)\n"
+        "try:\n"
+        "    posets.enumerate_symmetric_ics(posets.build_poset(square), posets.vertical_involution(square))\n"
+        "except posets.OracleScaleExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    returncode, out, err = _python_in_capped_process("-c", code)
+    assert (returncode, err) == (0, "")
+    assert re.fullmatch(LAYERED_WORK_BOUND.format(144) + "\n", out)
+
+
+def test_count_oracle_answers_past_the_enumeration_bound(capsys):
+    assert run(capsys, "count", "cube:4x4x4") == (0, "3071673482\n", "")
+    with cli._full_decimal_digits():
+        expected = str(2**2000)
+    assert run(capsys, "count", "ordsum:2000", "--method", "oracle") == (0, expected + "\n", "")
+
+
+def test_count_reads_grids_with_the_longest_side_first(capsys):
+    # 800 elements either way; counted with files of 200 elements, rect:4x200 would
+    # take about ten million states and pass the work bound
+    expected = run(capsys, "count", "rect:200x4", "--method", "oracle")
+    assert expected[0] == 0
+    assert run(capsys, "count", "rect:4x200", "--method", "oracle") == expected
+    assert posets.family_of(ChainProduct(4, 200)).count_spec(ChainProduct(4, 200)) == ChainProduct(200, 4)
+    assert posets.family_of(TruncatedRectangle(2, 5, 1)).count_spec(
+        TruncatedRectangle(2, 5, 1)
+    ) == TruncatedRectangle(5, 2, 1)
+    cube = posets.ChainProduct3(2, 14, 3)
+    assert posets.family_of(cube).count_spec(cube) == posets.ChainProduct3(14, 3, 2)
 
 
 def test_spec_parsing_keeps_the_digit_limit(capsys):
@@ -474,9 +534,12 @@ def test_series_json_matches_fraction_engine(capsys, order):
 def test_series_budget_edges(capsys):
     code, out, _ = run(capsys, "series", "rectangle", "--order", "40", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 42
-    for argv in (("rectangle", "--order", "41"), ("truncated", "--order", "21")):
-        code, out, err = run(capsys, "series", *argv)
-        assert code == 3 and out == "" and "exceeds budget 40" in err
+    # the truncated table steps to z-order 40 and starts up to t^40
+    code, out, _ = run(capsys, "series", "truncated", "--order", "40")
+    assert code == 0 and out.splitlines()[-1] == "40,0,0,1"
+    assert f"20,20,0,{series.rectangle_counts(20, 20)[(20, 20)]}" in out.splitlines()
+    for argv in (("rectangle", "--order", "41"), ("truncated", "--order", "41")):
+        assert run(capsys, "series", *argv) == (3, "", "error: order 41 exceeds budget 40\n")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsets import posets
 from icsets.cli import parse_poset_spec
 from icsets.posets import (
     ChainProduct,
@@ -213,8 +214,8 @@ def test_enumeration_order_and_uniqueness():
 
 
 def test_enumeration_bound():
-    with pytest.raises(OracleScaleExceeded):
-        count_ics(build_poset(ChainProduct(6, 6)))
+    with pytest.raises(OracleScaleExceeded, match=r"^oracle scale exceeded: 36 elements > bound 30$"):
+        next(enumerate_ics(build_poset(ChainProduct(6, 6))))
     assert build_poset(ChainProduct(6, 6)).n > ICS_ENUMERATION_BOUND
 
 
@@ -385,22 +386,20 @@ def test_symmetric_count_matches_brute_force(spec, label_map, count):
         assert count == count_ics(poset)
 
 
-def test_symmetric_count_reach_is_bounded_by_orbits():
-    from icsets.series import b_minuscule_counts
-    from icsets.verify import B_ROOT_SEQUENCE
+def test_symmetric_count_reach_is_bounded_by_its_work(monkeypatch):
+    from icsets.verify import B_MINUSCULE_SEQUENCE, B_ROOT_SEQUENCE
 
-    square = ChainProduct(7, 7)  # 49 elements, 28 orbits
-    assert build_poset(square).n > ICS_ENUMERATION_BOUND
+    square = ChainProduct(10, 10)  # 100 elements, 55 orbits
     assert enumerate_symmetric_ics(build_poset(square), vertical_involution(square)) == (
-        b_minuscule_counts(7)[7]
-    ) == 5014
+        B_MINUSCULE_SEQUENCE[9]
+    ) == 277058
     assert enumerate_symmetric_ics(
         build_poset(TypeARoot(9)), vertical_involution(TypeARoot(9))
     ) == B_ROOT_SEQUENCE[4] == 12883
-    with pytest.raises(OracleScaleExceeded, match=r"^oracle scale exceeded: 36 orbits > bound 30$"):
-        enumerate_symmetric_ics(
-            build_poset(ChainProduct(8, 8)), vertical_involution(ChainProduct(8, 8))
-        )
+    # the work bound, lowered here; tests/test_cli.py runs the real one
+    monkeypatch.setattr(posets, "LAYERED_COUNT_WORK_BOUND", 1000)
+    with pytest.raises(OracleScaleExceeded, match=r"^oracle scale exceeded: layered count work \d+ > bound 1000 "):
+        enumerate_symmetric_ics(build_poset(square), vertical_involution(square))
 
 
 @pytest.mark.parametrize(
@@ -413,11 +412,10 @@ def test_symmetric_count_reach_is_bounded_by_orbits():
     ids=str,
 )
 def test_layered_symmetric_count_past_the_orbit_bound_matches_series(square, half, count):
-    # the orbit bound guards enumerate_symmetric_ics, not the layered count beneath it
     mirror = vertical_involution(square)
     assert sum(1 for i, p in enumerate(mirror.mapping) if p <= i) > ICS_ENUMERATION_BOUND
-    layered = _count_ics_layers(build_poset(square), mirror.mapping)
-    assert layered == family_of(half).series(half) == count
+    symmetric = enumerate_symmetric_ics(build_poset(square), mirror)
+    assert symmetric == family_of(half).series(half) == count
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +708,7 @@ def test_layered_count_matches_enumeration(text, count):
 def test_layered_count_past_the_bound_matches_series(spec):
     poset = build_poset(spec)
     assert poset.n > ICS_ENUMERATION_BOUND
-    assert _count_ics_layers(poset) == family_of(spec).series(spec)
+    assert count_ics(poset) == family_of(spec).series(spec)
 
 
 @pytest.mark.parametrize("sides", itertools.permutations((2, 3, 4)))
