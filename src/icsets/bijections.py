@@ -73,7 +73,7 @@ def _frame(spec: PosetSpec) -> tuple[int, int, int]:
     return frame
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=16)
 def _files(poset: FinitePoset, m: int, n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each file i = 0..m+n: the floor height (of the lowest path from
     (0, n) to (m + n, m) on or above y = r) and the bitmask of the elements

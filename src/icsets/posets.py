@@ -31,8 +31,8 @@ Construction from covers:
   are their reflexive-transitive closure, built in two passes that cost one
   big-integer OR per cover each: up[i] = bit(i) | OR up[j] over the upper
   covers j of i, in reverse index order, then down likewise over the lower
-  covers in index order.  The cover set, the cover-graph adjacency and the
-  minimal elements are read off the same list.
+  covers in index order.  The cover-graph adjacency and the minimal elements
+  are read off the same list, and the cover set off the adjacency.
   - Ordinal sums: every element of the next block covers every element of
     its block.
   - Grid families (all others): the upper covers of a label are the unit
@@ -49,22 +49,23 @@ Construction from covers:
 The oracle's interval test:
   The search decides elements N-1 down to 0 and carries two masks: D, the
   elements below some chosen element, and F, the elements below an excluded
-  element that lies in D.  Excluding k adds down_strict(k) to F when k is in
-  D; including k adds down_strict(k) to D; k may be included iff k is not in
-  F.  Including k breaks interval closure iff some excluded z and chosen y
-  have k < z < y.  Since indexing is a linear extension, such y and z were
-  both decided before k, y before z, so z was in D when it was excluded and
-  k is in F; conversely every element of F lies under such a pair.  Every
-  leaf of the search is therefore an ICS, and every ICS is a leaf.  F is a
-  down-set inside D, so a forbidden element can only be excluded, and
-  excluding it adds down_strict(k), already in F, which changes nothing: the
-  oracle skips forbidden elements outright, with the same leaves in the same
-  order.
+  element that lies in D.  Excluding k ORs down(k) into F when k is in D;
+  including k ORs down(k) into D; k may be included iff k is not in F.  Bit k
+  itself is then cut or never read again, since every later decision reads
+  only lower bits.  Including k breaks interval closure iff some excluded z
+  and chosen y have k < z < y.  Since indexing is a linear extension, such y
+  and z were both decided before k, y before z, so z was in D when it was
+  excluded and k is in F; conversely every element of F lies under such a
+  pair.  Every leaf of the search is therefore an ICS, and every ICS is a
+  leaf.  F is a down-set inside D, so a forbidden element can only be
+  excluded, and excluding it adds down(k), already in F, which changes
+  nothing: the oracle skips forbidden elements outright, with the same leaves
+  in the same order.
 
   Counting the leaves needs no leaf visited.  Once k is decided, what the
   search can still do reads D and F only below k: deciding j < k tests bit j
   of F (include) and bit j of D (exclude), and both updates OR in
-  down_strict(j), which lies below j.  Two search nodes whose masks agree
+  down(j), which lies at or below j.  Two search nodes whose masks agree
   below k therefore have the same completions, so (D, F) cut to the indices
   below k is a sufficient state.  count_ics keeps one layer per k, mapping
   each cut state to the number of nodes in it, applies the include, exclude
@@ -419,8 +420,8 @@ def normalize_spec(spec: PosetSpec) -> PosetSpec:
 class FinitePoset:
     """A finite poset over indexed elements with precomputed order masks.
 
-    labels[i] is the coordinate label of element i; covers is the transitive
-    reduction as a frozenset of (lower, upper) index pairs.
+    labels[i] is the coordinate label of element i; covers (the transitive
+    reduction, as (lower, upper) index pairs) is read off the adjacency masks.
 
     upper_covers(label) names the labels that cover label; names outside the
     label set are dropped.  Sorted label order must be a linear extension, so
@@ -439,23 +440,22 @@ class FinitePoset:
         self.index = index
         above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
-        covers = []
         adj = [0] * n
         for i, js in enumerate(above):
             for j in js:
                 below[j].append(i)
-                covers.append((i, j))
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        up = _close_over(above, reversed(range(n)))
-        down = _close_over(below, range(n))
-        self._up = up
-        self._down = down
-        self._up_strict = [up[i] ^ 1 << i for i in range(n)]
-        self._down_strict = [down[i] ^ 1 << i for i in range(n)]
-        self.covers = frozenset(covers)
+        self._up = _close_over(above, reversed(range(n)))
+        self._down = _close_over(below, range(n))
         self._cover_adj = adj
         self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
+
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The (lower, upper) cover pairs: the adjacency bits above each index."""
+        adj = self._cover_adj
+        return frozenset((i, j) for i in range(self.n) for j in _iter_bits(adj[i] >> i + 1 << i + 1))
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
@@ -535,7 +535,7 @@ def _check_build_scale(family: Family, spec: PosetSpec) -> None:
             )
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=16)
 def build_poset(spec: PosetSpec) -> FinitePoset:
     """Build the poset described by spec; see the module docstring for families.
     A spec past BUILD_BOUNDS raises PosetScaleExceeded before any label is listed."""
@@ -555,10 +555,10 @@ def find_ics_violation(
     """Return indices (x, z, y) with x < z < y, x and y in the subset, z not;
     None when the subset is interval-closed."""
     mask = poset.mask_of(members)
+    up, down = poset._up, poset._down
     for x in _iter_bits(mask):
-        above = mask & poset._up_strict[x]
-        for y in _iter_bits(above):
-            missing = poset._up_strict[x] & poset._down_strict[y] & ~mask
+        for y in _iter_bits((mask & up[x]) ^ 1 << x):
+            missing = up[x] & down[y] & ~mask  # x and y are members, so ~mask drops them
             if missing:
                 return (x, (missing & -missing).bit_length() - 1, y)
     return None
@@ -609,7 +609,7 @@ def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
     be chosen iff it is not forbidden; see the module docstring for why that
     is exactly the interval test, and why forbidden elements are skipped.
     """
-    down_strict = poset._down_strict
+    down = poset._down
     stack = [(poset.n - 1, 0, 0, 0)]  # next index, chosen, below, forbidden
     while stack:
         k, mask, below, forbidden = stack.pop()
@@ -618,9 +618,9 @@ def _ics_mask_stream(poset: FinitePoset) -> Iterator[int]:
             yield mask
             continue
         bit = 1 << k
-        stack.append((k - 1, mask | bit, below | down_strict[k], forbidden))
+        stack.append((k - 1, mask | bit, below | down[k], forbidden))
         if below & bit:
-            forbidden |= down_strict[k]
+            forbidden |= down[k]
         stack.append((k - 1, mask, below, forbidden))
 
 
@@ -663,7 +663,7 @@ def _count_ics_layers(poset: FinitePoset, perm: Sequence[int] | None = None) -> 
     layer.  See the module docstring for why the cut state suffices and how
     the work is bounded.
     """
-    down_strict = poset._down_strict
+    down = poset._down
     if perm is None:
         perm = range(poset.n)
     work = 0
@@ -683,13 +683,11 @@ def _count_ics_layers(poset: FinitePoset, perm: Sequence[int] | None = None) -> 
         nxt: dict[tuple[int, int, int], int] = {}
         for (below, forbidden, copied), ways in layer.items():
             if not forbidden & bit and (free or copied & bit):  # include k
-                key = (
-                    (below | down_strict[k]) & low, forbidden & low, (copied | partner_bit) & low
-                )
+                key = ((below | down[k]) & low, forbidden & low, (copied | partner_bit) & low)
                 nxt[key] = nxt.get(key, 0) + ways
             if not copied & bit:  # exclude k
                 if below & bit:
-                    forbidden |= down_strict[k]
+                    forbidden |= down[k]
                 key = (below & low, forbidden & low, copied & low)
                 nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
@@ -728,7 +726,8 @@ def _check_involution(poset: FinitePoset, sigma: Involution) -> None:
             raise ValueError("map is not an involution")
     # the order is the reflexive-transitive closure of the covers, so a
     # bijection that maps the cover set onto itself preserves it both ways
-    if {(perm[i], perm[j]) for i, j in poset.covers} != poset.covers:
+    covers = poset.covers
+    if {(perm[i], perm[j]) for i, j in covers} != covers:
         raise ValueError("map is not an automorphism")
 
 

@@ -1,7 +1,9 @@
 """Round trips, worked examples, classification, full ICS, and the shift map."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -481,6 +483,19 @@ def test_shift_map_inverse_tests_the_interval_once(monkeypatch):
     monkeypatch.setattr(posets, "find_ics_violation", counting)  # the check require_ics runs
     assert shift_map_inverse(4, 3, image) == frozenset([(1, 1), (2, 1), (3, 1)])
     assert len(calls) == 1
+
+
+def test_poset_caches_let_an_evicted_poset_go():
+    # _files keys on the poset, so its cache must not outlive build_poset's:
+    # after 16 other specs pass through both, the first poset is freed
+    poset = build_poset(ChainProduct(3, 17))
+    ics_to_motzkin(3, 17, [(1, 1)], poset)
+    freed = weakref.ref(poset)
+    del poset
+    for m in range(1, 17):
+        ics_to_motzkin(m, 19, [], build_poset(ChainProduct(m, 19)))
+    gc.collect()
+    assert freed() is None
 
 
 def test_labels_outside_the_poset_are_value_errors():

@@ -78,8 +78,8 @@ def test_build_sizes(spec, size):
 
 def test_type_a_root_shape():
     poset = build_poset(TypeARoot(2))
-    minimal = [poset.labels[i] for i in range(3) if not poset._down_strict[i]]
-    maximal = [poset.labels[i] for i in range(3) if not poset._up_strict[i]]
+    minimal = [poset.labels[i] for i in range(3) if poset._down[i] == 1 << i]
+    maximal = [poset.labels[i] for i in range(3) if poset._up[i] == 1 << i]
     assert len(minimal) == 2 and len(maximal) == 1
 
 
@@ -128,7 +128,7 @@ def test_partial_order_and_transitive_reduction(spec):
     # covers have empty interior and generate leq by transitivity
     reach = [1 << i for i in range(n)]
     for lo, hi in poset.covers:
-        assert not (poset._up_strict[lo] & poset._down_strict[hi])
+        assert poset._up[lo] & poset._down[hi] == 1 << lo | 1 << hi
     changed = True
     while changed:
         changed = False
@@ -550,7 +550,7 @@ def _reference_order(poset, leq_labels):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     minimal = sum(1 << i for i in range(n) if not down_strict[i])
-    return up, down, up_strict, down_strict, frozenset(covers), adj, minimal
+    return up, down, frozenset(covers), adj, minimal
 
 
 GRID_SPECS = (
@@ -587,13 +587,17 @@ def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
     built = (
         poset._up,
         poset._down,
-        poset._up_strict,
-        poset._down_strict,
         poset.covers,
         poset._cover_adj,
         poset.minimal_mask,
     )
-    assert built == _reference_order(poset, leq_labels)
+    reference = _reference_order(poset, leq_labels)
+    assert built == reference
+    # the poset keeps only the reflexive masks; its readers take the strict
+    # relation as the mask with the element's own bit flipped
+    for masks, reference_masks in zip(built[:2], reference[:2]):
+        strict = [mask & ~(1 << i) for i, mask in enumerate(reference_masks)]
+        assert [mask ^ 1 << i for i, mask in enumerate(masks)] == strict
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS + ORDINAL_SUM_SPECS, ids=str)
@@ -627,6 +631,26 @@ def test_build_refuses_a_spec_past_its_bounds_before_listing_labels(monkeypatch)
 def test_build_accepts_a_spec_at_its_bounds():
     assert build_poset(OrdinalSumAntichains((10000,))).n == 10000
     assert len(build_poset(OrdinalSumAntichains((250, 400))).covers) == 100000
+
+
+@pytest.mark.parametrize(
+    "spec,bound",
+    [(ChainProduct(100, 100), 30 * 2**20), (OrdinalSumAntichains((250, 400)), 2**20)],
+    ids=str,
+)
+def test_a_built_poset_keeps_each_order_relation_once(spec, bound):
+    import tracemalloc
+
+    # build_poset's own work, past its cache; a second copy of the masks or a
+    # stored cover set (100,000 pairs for the ordinal sum) would exceed bound
+    tracemalloc.start()
+    try:
+        poset = build_poset.__wrapped__(spec)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poset.n == family_of(spec).size(spec)
+    assert size < bound
 
 
 def test_ordinal_sum_covers_list_only_the_next_block():
