@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
@@ -58,6 +59,15 @@ _PAIR_TO_MOTZKIN = {("D", "U"): "U", ("U", "D"): "D", ("U", "U"): "H1", ("D", "D
 _MOTZKIN_TO_PAIR = {v: k for k, v in _PAIR_TO_MOTZKIN.items()}
 _PAIR_TO_WALK = {("D", "U"): "NW", ("U", "D"): "SE", ("U", "U"): "E", ("D", "D"): "W"}
 _WALK_TO_PAIR = {v: k for k, v in _PAIR_TO_WALK.items()}
+
+
+def _rises(letter_to_pair: dict) -> tuple[dict, dict]:
+    """For each letter of a path image, the height change of B and of T."""
+    return tuple({s: 1 if bt[side] == "U" else -1 for s, bt in letter_to_pair.items()} for side in (0, 1))
+
+
+_MOTZKIN_RISES = _rises(_MOTZKIN_TO_PAIR)
+_WALK_RISES = _rises(_WALK_TO_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +117,21 @@ def _cells_between(m: int, n: int, r: int, lower: list[int], upper: list[int]) -
     Heights at file i have the parity of a + b there, so a + b steps by 2."""
     cells = set()
     for i in range(1, m + n):
-        lo = max(lower[i], r + 1)
-        for s in range(lo + 2 - (lo + i + n) % 2, upper[i] + 1, 2):
-            cells.add(((s + i - n) // 2, (s - i + n) // 2))
+        if upper[i] > lower[i]:
+            lo = max(lower[i], r + 1)
+            for s in range(lo + 2 - (lo + i + n) % 2, upper[i] + 1, 2):
+                cells.add(((s + i - n) // 2, (s - i + n) // 2))
     return frozenset(cells)
 
 
 def _steps_from_heights(heights: list[int]) -> tuple[str, ...]:
-    return tuple(
-        "U" if heights[i + 1] > heights[i] else "D" for i in range(len(heights) - 1)
-    )
+    return tuple(["U" if b > a else "D" for a, b in zip(heights, heights[1:])])
+
+
+def _heights_from_letters(steps: Iterable[str], start: int, rises: tuple[dict, dict]) -> list[list[int]]:
+    """Heights of B and T, both starting at start, of the pair whose
+    letterwise image is steps."""
+    return [list(accumulate(map(rise.__getitem__, steps), initial=start)) for rise in rises]
 
 
 def _canonicalize_shared_blocks(bh: list[int], th: list[int]) -> None:
@@ -155,9 +170,16 @@ def ics_to_nested_pair(
     poset = _poset_for(spec, poset)
     members = poset.indices_of(ics)
     require_ics(poset, members)
-    delta = _union(poset._down, members)
-    th = _ideal_heights(m, n, r, poset, delta)
-    bh = _ideal_heights(m, n, r, poset, delta & ~poset.mask_of(members))
+    th = _ideal_heights(m, n, r, poset, _union(poset._down, members))
+    # B bounds the ideal minus the ICS.  A file is a chain, and its members
+    # are the top of the ideal's segment there (an element of the ideal above
+    # a member lies below another member), so B runs just below the file's
+    # lowest member: at its a + b minus 2, the floor if it is the file's
+    # lowest element.
+    bh = list(th)
+    for a, b in map(poset.labels.__getitem__, members):
+        if a + b - 2 < bh[a - b + n]:
+            bh[a - b + n] = a + b - 2
     _canonicalize_shared_blocks(bh, th)
     return NestedPairBT(m, n, r, _steps_from_heights(bh), _steps_from_heights(th))
 
@@ -203,12 +225,20 @@ def motzkin_to_nested_pair(word: MotzkinWord) -> NestedPairBT:
 def ics_to_motzkin(
     m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
 ) -> MotzkinWord:
-    return nested_pair_to_motzkin(ics_to_nested_pair(ChainProduct(m, n), ics, poset))
+    # the pair is canonical with floor 0 by construction: no validate_nested_pair
+    pair = ics_to_nested_pair(ChainProduct(m, n), ics, poset)
+    return MotzkinWord(map(_PAIR_TO_MOTZKIN.__getitem__, zip(pair.bottom, pair.top)))
 
 
 def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
-    pair = motzkin_to_nested_pair(word)
-    return pair.m, pair.n, nested_pair_to_ics(pair)
+    """Invert the Motzkin map.  The pair of a valid word is canonical (the
+    round trips pin this), so the cells are read off its heights directly."""
+    verdict = validate_motzkin(word)
+    if not verdict.valid:
+        raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
+    m, n = verdict.m, verdict.n
+    bh, th = _heights_from_letters(word.steps, n, _MOTZKIN_RISES)
+    return m, n, _cells_between(m, n, 0, bh, th)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +249,7 @@ def ics_to_walk(
     spec: PosetSpec, ics: Iterable[Label], poset: FinitePoset | None = None
 ) -> QuarterWalk:
     pair = ics_to_nested_pair(spec, ics, poset)
-    return QuarterWalk(
-        pair.n - pair.r,
-        (_PAIR_TO_WALK[bt] for bt in zip(pair.bottom, pair.top)),
-    )
+    return QuarterWalk(pair.n - pair.r, map(_PAIR_TO_WALK.__getitem__, zip(pair.bottom, pair.top)))
 
 
 def walk_frame(walk: QuarterWalk) -> tuple[int, int, int]:
@@ -244,13 +271,7 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
     """Invert the walk map.  Returns the poset spec (truncation normalized to
     r >= 0) together with the ICS."""
     m, n, r = walk_frame(walk)
-    bh = [walk.start_x + r]
-    y = [0]
-    for s in walk.steps:
-        b, t = _WALK_TO_PAIR[s]
-        bh.append(bh[-1] + (1 if b == "U" else -1))
-        y.append(y[-1] + (1 if s == "NW" else -1 if s == "SE" else 0))
-    th = [b + 2 * g for b, g in zip(bh, y)]
+    bh, th = _heights_from_letters(walk.steps, n, _WALK_RISES)
     r_eff = max(r, 0)
     spec = ChainProduct(m, n) if r_eff == 0 else TruncatedRectangle(m, n, r_eff)
     return spec, _cells_between(m, n, r_eff, bh, th)

@@ -25,6 +25,7 @@ Text encodings (exact contract for the CLI and golden files):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 MOTZKIN_ALPHABET = ("U", "D", "H1", "H2")
@@ -42,12 +43,28 @@ class PathScaleExceeded(RuntimeError):
 # Value types
 
 
+class _KeepsVerdict:
+    """Base of the immutable path values, which keep their validity verdict
+    once validate_motzkin or validate_walk has computed it.  The verdict is a
+    cached property, not a dataclass field, so equality, hash and repr ignore
+    it, and __getstate__ leaves it out of pickles and copies."""
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_verdict", None)
+        return state
+
+
 @dataclass(frozen=True)
-class MotzkinWord:
+class MotzkinWord(_KeepsVerdict):
     steps: tuple[str, ...]
 
     def __init__(self, steps: Iterable[str]):
         object.__setattr__(self, "steps", tuple(steps))
+
+    @cached_property
+    def _verdict(self) -> MotzkinVerdict:
+        return _motzkin_verdict(self.steps)
 
     @property
     def m(self) -> int:
@@ -66,13 +83,17 @@ class MotzkinWord:
 
 
 @dataclass(frozen=True)
-class QuarterWalk:
+class QuarterWalk(_KeepsVerdict):
     start_x: int
     steps: tuple[str, ...]
 
     def __init__(self, start_x: int, steps: Iterable[str]):
         object.__setattr__(self, "start_x", start_x)
         object.__setattr__(self, "steps", tuple(steps))
+
+    @cached_property
+    def _verdict(self) -> WalkVerdict:
+        return _walk_verdict(self.start_x, self.steps)
 
     def positions(self) -> list[tuple[int, int]]:
         """Visited points including the start (length len(steps) + 1)."""
@@ -151,33 +172,50 @@ class WalkVerdict:
 
 
 def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
-    """Structured validity verdict; reports (m, n) when the word is valid."""
-    steps = tuple(word.steps if isinstance(word, MotzkinWord) else word)
+    """Structured validity verdict; reports (m, n) when the word is valid.
+    A MotzkinWord is checked on its first call only and keeps its verdict;
+    any other iterable of letters is checked on every call."""
+    if isinstance(word, MotzkinWord):
+        return word._verdict
+    return _motzkin_verdict(tuple(word))
+
+
+def _motzkin_verdict(steps: tuple[str, ...]) -> MotzkinVerdict:
     for s in steps:
         if s not in MOTZKIN_ALPHABET:
             return MotzkinVerdict(False, violation=f"unknown letter {s!r}")
-    h = 0
+    h = m = 0
     for i, s in enumerate(steps):
-        if s == "H2" and h == 0 and i + 1 < len(steps) and steps[i + 1] == "H1":
+        if s == "U":
+            h += 1
+            m += 1
+        elif s == "D":
+            h -= 1
+            if h < 0:
+                return MotzkinVerdict(False, violation=f"height drops below 0 at step {i + 1}")
+        elif s == "H1":
+            m += 1
+        elif h == 0 and i + 1 < len(steps) and steps[i + 1] == "H1":
             return MotzkinVerdict(
                 False, violation=f"H2 on the x-axis followed by H1 at step {i + 1}"
             )
-        h += 1 if s == "U" else -1 if s == "D" else 0
-        if h < 0:
-            return MotzkinVerdict(False, violation=f"height drops below 0 at step {i + 1}")
     if h != 0:
         return MotzkinVerdict(False, violation=f"final height {h} is not 0")
-    word = MotzkinWord(steps)
-    return MotzkinVerdict(True, m=word.m, n=word.n)
+    return MotzkinVerdict(True, m=m, n=len(steps) - m)
 
 
 def validate_walk(walk: QuarterWalk) -> WalkVerdict:
-    """Structured validity verdict; reports the endpoint when valid."""
-    if walk.start_x < 0:
-        return WalkVerdict(False, violation=f"start x {walk.start_x} is negative")
-    x, y = walk.start_x, 0
+    """Structured validity verdict; reports the endpoint when valid.  The walk
+    is checked on its first call only and keeps its verdict."""
+    return walk._verdict
+
+
+def _walk_verdict(start_x: int, steps: tuple[str, ...]) -> WalkVerdict:
+    if start_x < 0:
+        return WalkVerdict(False, violation=f"start x {start_x} is negative")
+    x, y = start_x, 0
     prev_w_on_axis = False
-    for i, s in enumerate(walk.steps):
+    for i, s in enumerate(steps):
         if s not in WALK_ALPHABET:
             return WalkVerdict(False, violation=f"unknown letter {s!r}")
         if s == "E" and prev_w_on_axis:
@@ -232,17 +270,18 @@ def validate_nested_pair(pair: NestedPairBT) -> str | None:
 def motzkin_stats(word: MotzkinWord | Iterable[str]) -> MotzkinStats:
     """Area below the word, D-step returns to the axis, and the sum of
     (#H1 * #H2) over maximal horizontal runs on the axis."""
+    if not isinstance(word, MotzkinWord):
+        word = MotzkinWord(word)
     verdict = validate_motzkin(word)
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
-    steps = tuple(word.steps if isinstance(word, MotzkinWord) else word)
     area = 0
     returns = 0
     run_product_sum = 0
     h = 0
     run_h1 = run_h2 = 0
     in_run = False
-    for s in steps:
+    for s in word.steps:
         if h == 0 and s in ("H1", "H2"):
             in_run = True
             if s == "H1":
@@ -279,16 +318,19 @@ def walk_stats(walk: QuarterWalk) -> WalkStats:
     verdict = validate_walk(walk)
     if not verdict.valid:
         raise ValueError(f"invalid quarter-plane walk: {verdict.violation}")
-    pos = walk.positions()
-    height_sum = sum(y for _, y in pos[1:])
-    x_returns = sum(
-        1 for i, s in enumerate(walk.steps) if s == "SE" and pos[i + 1][1] == 0
-    )
-    y_returns = sum(
-        1
-        for i, s in enumerate(walk.steps)
-        if s in ("W", "NW") and pos[i + 1][0] == 0 and i != len(walk.steps) - 1
-    )
+    x, y = walk.start_x, 0
+    height_sum = x_returns = y_returns = 0
+    for s in walk.steps:
+        dx, dy = WALK_MOVES[s]
+        x += dx
+        y += dy
+        height_sum += y
+        if y == 0 and s == "SE":
+            x_returns += 1
+        if x == 0:  # only W and NW steps reach the y-axis
+            y_returns += 1
+    if x == 0 and walk.steps:  # the final step is not counted
+        y_returns -= 1
     return WalkStats(height_sum, x_returns, y_returns)
 
 

@@ -31,8 +31,9 @@ Construction from covers:
   are their reflexive-transitive closure, built in two passes that cost one
   big-integer OR per cover each: up[i] = bit(i) | OR up[j] over the upper
   covers j of i, in reverse index order, then down likewise over the lower
-  covers in index order.  The cover-graph adjacency and the minimal elements
-  are read off the same list, and the cover set off the adjacency.
+  covers in index order.  The cover-graph adjacency (a tuple of neighbour
+  indices per element) and the minimal elements are read off the same
+  lists, and the cover set off the adjacency.
   - Ordinal sums: every element of the next block covers every element of
     its block.
   - Grid families (all others): the upper covers of a label are the unit
@@ -105,7 +106,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import series
 
@@ -421,7 +422,8 @@ class FinitePoset:
     """A finite poset over indexed elements with precomputed order masks.
 
     labels[i] is the coordinate label of element i; covers (the transitive
-    reduction, as (lower, upper) index pairs) is read off the adjacency masks.
+    reduction, as (lower, upper) index pairs) is read off the neighbour tuples
+    of the cover graph.
 
     upper_covers(label) names the labels that cover label; names outside the
     label set are dropped.  Sorted label order must be a linear extension, so
@@ -440,22 +442,21 @@ class FinitePoset:
         self.index = index
         above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
-        adj = [0] * n
         for i, js in enumerate(above):
             for j in js:
                 below[j].append(i)
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
         self._up = _close_over(above, reversed(range(n)))
         self._down = _close_over(below, range(n))
-        self._cover_adj = adj
+        # cover-graph neighbours of each element, lower covers first; elements
+        # with the same neighbours (a block of an ordinal sum) share one tuple
+        shared: dict[tuple, tuple] = {}
+        self._cover_adj = [shared.setdefault(adj, adj) for adj in map(tuple, map(add, below, above))]
         self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
 
     @property
     def covers(self) -> frozenset[tuple[int, int]]:
-        """The (lower, upper) cover pairs: the adjacency bits above each index."""
-        adj = self._cover_adj
-        return frozenset((i, j) for i in range(self.n) for j in _iter_bits(adj[i] >> i + 1 << i + 1))
+        """The (lower, upper) cover pairs: the neighbours above each index."""
+        return frozenset((i, j) for i, adj in enumerate(self._cover_adj) for j in adj if j > i)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._up[i] >> j & 1)
@@ -770,20 +771,17 @@ def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:
     mask = poset.mask_of(members)
     cardinality = mask.bit_count()
 
+    adj = poset._cover_adj
     components = 0
-    todo = mask
-    while todo:
+    unseen = set(members)
+    while unseen:
         components += 1
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for i in _iter_bits(frontier):
-                nxt |= poset._cover_adj[i] & mask & ~comp
-            comp |= nxt
-            frontier = nxt
-        todo &= ~comp
+        stack = [unseen.pop()]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j in unseen:
+                    unseen.remove(j)
+                    stack.append(j)
 
     comparable = _union(poset._up, members) | _union(poset._down, members)
     incomparable = poset.n - comparable.bit_count()

@@ -10,6 +10,7 @@ import pytest
 from icsets import posets
 from icsets.bijections import (
     _PAIR_TO_WALK,
+    _WALK_TO_PAIR,
     NotIntervalClosed,
     _canonicalize_shared_blocks,
     _cells_between,
@@ -29,12 +30,16 @@ from icsets.bijections import (
     walk_to_ics,
 )
 from icsets.paths import (
+    MotzkinWord,
     NestedPairBT,
     QuarterWalk,
     enumerate_motzkin,
     motzkin_from_text,
     motzkin_stats,
     motzkin_to_text,
+    validate_motzkin,
+    validate_nested_pair,
+    validate_walk,
     walk_from_text,
     walk_stats,
     walk_to_text,
@@ -505,3 +510,151 @@ def test_labels_outside_the_poset_are_value_errors():
         classify_elements(ChainProduct(2, 2), [(0, 1)])
     with pytest.raises(ValueError, match=r"not in the poset: \[\(1, 1\)\]"):
         ics_to_walk(TypeARoot(2), [(1, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the direct maps against the validated compositions
+
+# the bijection_sweep benchmark's frames (family, m, n, r); rootA:k sits in
+# the frame (k + 1, k + 1, k + 1)
+SWEEP_LADDER = (
+    ("rect", 5, 5, 0),
+    ("rect", 10, 10, 0),
+    ("rect", 15, 15, 0),
+    ("rect", 20, 20, 0),
+    ("trunc", 6, 5, 2),
+    ("trunc", 10, 11, 4),
+    ("trunc", 15, 16, 6),
+    ("trunc", 20, 20, 8),
+    ("rootA", 6, 6, 6),
+    ("rootA", 11, 11, 11),
+    ("rootA", 16, 16, 16),
+    ("rootA", 21, 21, 21),
+)
+
+
+def _staircase(m, tops):
+    # row bounds of the down-set of tops: row a holds (a, b) for b <= bound[a]
+    bound = [0] * (m + 2)
+    for a, b in tops:
+        bound[a] = max(bound[a], b)
+    for a in range(m - 1, 0, -1):
+        bound[a] = max(bound[a], bound[a + 1])
+    return bound
+
+
+def _random_ics(rng, frame):
+    """K minus J for nested order ideals J <= K of the frame's poset, each the
+    down-set of up to three random elements (the benchmark's sampler)."""
+    _, m, n, r = frame
+    rows = [(a, max(1, r + 2 - a)) for a in range(1, m + 1) if r + 2 - a <= n]
+    elements = [(a, b) for a, lo in rows for b in range(lo, n + 1)]
+    upper = _staircase(m, rng.sample(elements, rng.randint(1, 3)))
+    inside = [(a, b) for a, lo in rows for b in range(lo, upper[a] + 1)]
+    lower = _staircase(m, rng.sample(inside, rng.randint(0, min(3, len(inside)))))
+    return frozenset((a, b) for a, lo in rows for b in range(max(lo, lower[a] + 1), upper[a] + 1))
+
+
+def _ladder_spec(frame):
+    family, m, n, r = frame
+    if family == "rect":
+        return ChainProduct(m, n)
+    return TypeARoot(m - 1) if family == "rootA" else TruncatedRectangle(m, n, r)
+
+
+def _composition_cases():
+    for spec in (ChainProduct(4, 4), TruncatedRectangle(5, 5, 2), TypeARoot(5)):
+        poset = build_poset(spec)
+        for s in enumerate_ics(poset):
+            yield spec, poset.labels_of(s)
+    rng = random.Random("direct maps against the validated compositions")
+    for frame in SWEEP_LADDER:
+        for _ in range(200):
+            yield _ladder_spec(frame), _random_ics(rng, frame)
+
+
+def test_direct_maps_equal_the_validated_compositions():
+    # the direct maps validate no pair they build; the compositions validate
+    # every pair they pass on (nested_pair_to_ics and nested_pair_to_motzkin
+    # check the pair, and the recoded pairs equal it)
+    for spec, labels in _composition_cases():
+        poset = build_poset(spec)
+        m, n, r = family_of(spec).frame(normalize_spec(spec))
+        pair = ics_to_nested_pair(spec, labels, poset)
+        cells = nested_pair_to_ics(pair)
+        assert cells == labels
+        walk = ics_to_walk(spec, labels, poset)
+        assert walk == QuarterWalk(n - r, (_PAIR_TO_WALK[bt] for bt in zip(pair.bottom, pair.top)))
+        recoded = [_WALK_TO_PAIR[s] for s in walk.steps]
+        assert NestedPairBT(m, n, r, (b for b, _ in recoded), (t for _, t in recoded)) == pair
+        assert walk_to_ics(walk) == (TruncatedRectangle(m, n, r) if r else ChainProduct(m, n), cells)
+        if r == 0:
+            word = ics_to_motzkin(m, n, labels, poset)
+            assert word == nested_pair_to_motzkin(pair)
+            assert motzkin_to_nested_pair(word) == pair
+            assert motzkin_to_ics(word) == (m, n, cells)
+
+
+# ---------------------------------------------------------------------------
+# rejections, on the first call and on a repeated one with the same value
+
+BAD_WORDS = [
+    (["U", "X", "D"], "unknown letter 'X'"),
+    (["D", "X"], "unknown letter 'X'"),  # the letters are checked first
+    (["D", "U"], "height drops below 0 at step 1"),
+    (["U", "H2", "D", "H2", "H1"], "H2 on the x-axis followed by H1 at step 4"),
+    (["U", "U", "D"], "final height 1 is not 0"),
+]
+BAD_WALKS = [
+    ((-1, []), "start x -1 is negative"),
+    ((2, ["W", "X"]), "unknown letter 'X'"),
+    ((1, ["W", "E"]), "W on the x-axis followed by E at step 2"),
+    ((0, ["SE"]), "leaves the quadrant at step 1 (1, -1)"),
+]
+BAD_PAIRS = [
+    ((2, 2, 0, "UDUD", "UDUD"), "shared block at steps 1..4 is not U-steps-first"),
+    ((2, 2, 0, "UUDD", "UDUD"), "B rises above T"),
+    ((2, 2, 0, "UUD", "UUDD"), "B has 3 steps, expected 4"),
+    ((1, 1, 0, "UX", "UD"), "B has letters outside U/D"),
+    ((1, 1, 0, "UU", "UD"), "B does not have exactly 1 U steps"),
+    ((2, 2, 2, "DUUD", "UUDD"), "B drops below the floor y = 2"),
+]
+
+
+def _rejections():
+    """(entry, value, the parent's text of the rejection) for each public entry."""
+    for letters, problem in BAD_WORDS:
+        word = MotzkinWord(letters)
+        yield validate_motzkin, word, problem
+        yield validate_motzkin, letters, problem
+        for entry in (motzkin_to_ics, motzkin_to_nested_pair, motzkin_stats):
+            yield entry, word, f"invalid bicolored Motzkin word: {problem}"
+        yield motzkin_stats, letters, f"invalid bicolored Motzkin word: {problem}"
+    for (start, steps), problem in BAD_WALKS:
+        walk = QuarterWalk(start, steps)
+        yield validate_walk, walk, problem
+        for entry in (walk_frame, walk_to_ics, walk_stats):
+            yield entry, walk, f"invalid quarter-plane walk: {problem}"
+    for entry in (walk_frame, walk_to_ics):
+        yield entry, QuarterWalk(0, ["E", "NW"]), "walk must end on the x-axis, ends at (0, 1)"
+    for fields, problem in BAD_PAIRS:
+        pair = NestedPairBT(*fields)
+        yield validate_nested_pair, pair, problem
+        yield nested_pair_to_ics, pair, f"invalid nested pair: {problem}"
+        if pair.r == 0:
+            yield nested_pair_to_motzkin, pair, f"invalid nested pair: {problem}"
+    yield nested_pair_to_motzkin, NestedPairBT(2, 2, 1, "DUUD", "UUDD"), "Motzkin image needs floor r = 0, got r = 1"
+
+
+def test_public_entries_reject_invalid_values_on_every_call():
+    for entry, value, text in _rejections():
+        for _ in range(2):
+            if entry in (validate_motzkin, validate_walk):
+                verdict = entry(value)
+                assert not verdict.valid and verdict.violation == text
+            elif entry is validate_nested_pair:
+                assert entry(value) == text
+            else:
+                with pytest.raises(ValueError) as exc:
+                    entry(value)
+                assert str(exc.value) == text, entry

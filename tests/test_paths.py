@@ -1,5 +1,8 @@
 """Path validators, statistics, enumerators, and text encodings."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +213,129 @@ def test_nested_pair_text_roundtrip():
         nested_pair_from_text("1 2\nUD")
     with pytest.raises(ValueError):
         nested_pair_from_text("1 1 0\nUX\nUD")
+
+
+# ---------------------------------------------------------------------------
+# kept verdicts
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        MotzkinWord(["U", "H2", "D"]),
+        MotzkinWord(["H2", "H1"]),
+        QuarterWalk(1, ["NW", "SE", "E", "W"]),
+        QuarterWalk(0, ["W"]),
+    ],
+    ids=repr,
+)
+def test_a_kept_verdict_changes_no_visible_behaviour(value):
+    import copy
+    import pickle
+
+    validate = validate_motzkin if isinstance(value, MotzkinWord) else validate_walk
+    fresh = type(value)(*dataclasses.astuple(value))
+    before = (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0))
+    verdict = validate(value)
+    assert validate(value) is verdict  # kept, not recomputed
+    assert (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0)) == before
+    assert value == fresh and fresh == value and hash(fresh) == hash(value)
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and repr(other) == repr(value)
+        assert "_verdict" not in other.__dict__ and validate(other) == verdict
+
+
+def test_each_path_value_is_checked_once(monkeypatch):
+    import icsets.paths as paths_module
+    from icsets.bijections import motzkin_to_ics, walk_frame, walk_to_ics
+
+    checked = []
+    for name in ("_motzkin_verdict", "_walk_verdict"):
+        check = getattr(paths_module, name)
+        monkeypatch.setattr(
+            paths_module, name, lambda *args, check=check: checked.append(args) or check(*args)
+        )
+    word = MotzkinWord(["U", "H1", "H2", "D"])
+    validate_motzkin(word)
+    motzkin_to_ics(word)
+    motzkin_stats(word)
+    assert validate_motzkin(word).valid and len(checked) == 1
+    walk = QuarterWalk(1, ["NW", "SE", "E", "W"])
+    validate_walk(walk)
+    walk_frame(walk)
+    walk_to_ics(walk)
+    walk_stats(walk)
+    assert validate_walk(walk).valid and len(checked) == 2
+    # any other iterable of letters is checked on every call
+    letters = ["U", "D"]
+    assert validate_motzkin(letters).valid
+    letters.append("D")
+    assert validate_motzkin(letters).violation == "height drops below 0 at step 3"
+    assert motzkin_stats(("U", "D")).area == 1
+    assert len(checked) == 5
+    # a one-shot iterable is read once, so its statistics are not of an empty word
+    assert motzkin_stats(iter(["U", "U", "D", "D"])).area == 4
+
+
+# ---------------------------------------------------------------------------
+# one-pass statistics against per-position references
+
+
+def _reference_walk_stats(walk):
+    pos = walk.positions()
+    height_sum = sum(y for _, y in pos[1:])
+    x_returns = sum(1 for i, s in enumerate(walk.steps) if s == "SE" and pos[i + 1][1] == 0)
+    y_returns = sum(
+        1
+        for i, s in enumerate(walk.steps)
+        if s in ("W", "NW") and pos[i + 1][0] == 0 and i != len(walk.steps) - 1
+    )
+    return height_sum, x_returns, y_returns
+
+
+def _reference_motzkin_stats(word):
+    heights = word.heights()
+    area = sum(heights[1:])
+    returns = sum(1 for i, s in enumerate(word.steps) if s == "D" and heights[i + 1] == 0)
+    # maximal runs of horizontal steps taken on the axis
+    run_product_sum = 0
+    for on_axis, run in itertools.groupby(
+        range(len(word.steps)), key=lambda i: word.steps[i] in ("H1", "H2") and heights[i] == 0
+    ):
+        if on_axis:
+            letters = [word.steps[i] for i in run]
+            run_product_sum += letters.count("H1") * letters.count("H2")
+    return area, returns, run_product_sum
+
+
+def test_walk_stats_match_the_per_position_reference():
+    walks = [
+        walk
+        for h in range(5)
+        for s in range(5)
+        for length in range(11)
+        for walk in enumerate_walks(h, s, length)
+    ]
+    # these end on the x-axis, so a last NW step onto the y-axis shows only
+    # in their prefixes, which are valid walks too
+    walks += {
+        QuarterWalk(walk.start_x, walk.steps[:k])
+        for walk in walks
+        for k, (x, _) in enumerate(walk.positions())
+        if x == 0 and k and walk.steps[k - 1] == "NW"
+    }
+    last_steps_onto_the_y_axis = set()
+    for walk in walks:
+        st = walk_stats(walk)
+        assert (st.height_sum, st.x_axis_returns, st.y_axis_returns_excl_last) == _reference_walk_stats(walk)
+        if walk.steps and walk.endpoint[0] == 0:
+            last_steps_onto_the_y_axis.add(walk.steps[-1])
+    assert last_steps_onto_the_y_axis == {"W", "NW"}
+
+
+def test_motzkin_stats_match_the_per_position_reference():
+    for m in range(6):
+        for n in range(6):
+            for word in enumerate_motzkin(m, n):
+                st = motzkin_stats(word)
+                assert (st.area, st.returns, st.axis_run_product_sum) == _reference_motzkin_stats(word)

@@ -542,15 +542,15 @@ def _reference_order(poset, leq_labels):
     up_strict = [up[i] & ~(1 << i) for i in range(n)]
     down_strict = [down[i] & ~(1 << i) for i in range(n)]
     covers = set()
-    adj = [0] * n
+    adj = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if up_strict[i] >> j & 1 and not (up_strict[i] & down_strict[j]):
                 covers.add((i, j))
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+                adj[i].append(j)
+                adj[j].append(i)
     minimal = sum(1 << i for i in range(n) if not down_strict[i])
-    return up, down, frozenset(covers), adj, minimal
+    return up, down, frozenset(covers), [tuple(sorted(a)) for a in adj], minimal
 
 
 GRID_SPECS = (
@@ -588,7 +588,7 @@ def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
         poset._up,
         poset._down,
         poset.covers,
-        poset._cover_adj,
+        [tuple(sorted(adj)) for adj in poset._cover_adj],
         poset.minimal_mask,
     )
     reference = _reference_order(poset, leq_labels)
@@ -651,6 +651,22 @@ def test_a_built_poset_keeps_each_order_relation_once(spec, bound):
         tracemalloc.stop()
     assert poset.n == family_of(spec).size(spec)
     assert size < bound
+
+
+def test_cover_graph_neighbours_are_index_tuples():
+    import tracemalloc
+
+    # one adjacency mask per element, as wide as its highest neighbour, took
+    # 6.7 of the 27.7 MiB a built rect:100x100 held
+    tracemalloc.start()
+    try:
+        poset = build_poset.__wrapped__(ChainProduct(100, 100))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 24 * 2**20
+    i = poset.index[(2, 2)]
+    assert sorted(poset._cover_adj[i]) == sorted(poset.index[lab] for lab in [(1, 2), (2, 1), (2, 3), (3, 2)])
 
 
 def test_ordinal_sum_covers_list_only_the_next_block():
