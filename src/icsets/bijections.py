@@ -16,24 +16,27 @@ each maximal shared block to put U steps first gives the canonical
 representative, and the canonical B is also the highest path lying weakly
 below all of I.
 
-Letterwise recodings of the canonical pair give the two path images:
+Letterwise recodings of the canonical pair give the two path images: each
+step's letter is read off the rises of B and of T at that step.
 
-  (b_i, t_i):  (D,U) (U,D) (U,U) (D,D)
-  Motzkin        U     D     H1    H2     (rectangles, r = 0)
-  walk           NW    SE    E     W      (truncated rectangles)
+  (B rise, T rise):  (-1, +1) (+1, -1) (+1, +1) (-1, -1)
+  Motzkin               U        D        H1       H2     (rectangles, r = 0)
+  walk                  NW       SE       E        W      (truncated rectangles)
 
 The Motzkin word's height after i steps is half the gap between T and B;
 the walk's position is (B height - r, half gap).  A walk image runs from
 (n - r, 0) to (m - r, 0) in m + n steps, so (m, n, r) can be recovered
 from a walk's frame via m = (l + s - h)/2, n = (l - s + h)/2,
 r = (l - s - h)/2.
+
+Every map takes a poset spec and reads the poset build_poset(spec) caches,
+so the labels it is given are always checked against that spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable
 
 from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
@@ -55,19 +58,12 @@ from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
 Label = tuple[int, int]
 
 
-_PAIR_TO_MOTZKIN = {("D", "U"): "U", ("U", "D"): "D", ("U", "U"): "H1", ("D", "D"): "H2"}
-_MOTZKIN_TO_PAIR = {v: k for k, v in _PAIR_TO_MOTZKIN.items()}
-_PAIR_TO_WALK = {("D", "U"): "NW", ("U", "D"): "SE", ("U", "U"): "E", ("D", "D"): "W"}
-_WALK_TO_PAIR = {v: k for k, v in _PAIR_TO_WALK.items()}
-
-
-def _rises(letter_to_pair: dict) -> tuple[dict, dict]:
-    """For each letter of a path image, the height change of B and of T."""
-    return tuple({s: 1 if bt[side] == "U" else -1 for s, bt in letter_to_pair.items()} for side in (0, 1))
-
-
-_MOTZKIN_RISES = _rises(_MOTZKIN_TO_PAIR)
-_WALK_RISES = _rises(_WALK_TO_PAIR)
+# the image letter of a step of the canonical pair, by its (B rise, T rise),
+# and the rises of each letter
+_MOTZKIN_BY_RISES = {(-1, 1): "U", (1, -1): "D", (1, 1): "H1", (-1, -1): "H2"}
+_RISES_BY_MOTZKIN = {v: k for k, v in _MOTZKIN_BY_RISES.items()}
+_WALK_BY_RISES = {(-1, 1): "NW", (1, -1): "SE", (1, 1): "E", (-1, -1): "W"}
+_RISES_BY_WALK = {v: k for k, v in _WALK_BY_RISES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +92,6 @@ def _files(poset: FinitePoset, m: int, n: int, r: int) -> tuple[tuple[int, ...],
     return floor, tuple(masks)
 
 
-def _ideal_heights(m: int, n: int, r: int, poset: FinitePoset, ideal: int) -> list[int]:
-    """Heights of the boundary path of the order ideal with bitmask ideal:
-    the floor, raised at each file to a + b of the ideal's highest element
-    there."""
-    labels = poset.labels
-    floor, masks = _files(poset, m, n, r)
-    y = list(floor)
-    for i, file in enumerate(masks):
-        top = (ideal & file).bit_length() - 1
-        if top >= 0:
-            a, b = labels[top]
-            y[i] = a + b
-    return y
-
-
 def _cells_between(m: int, n: int, r: int, lower: list[int], upper: list[int]) -> frozenset[Label]:
     """Cells (a, b) above the floor (a + b - 2 >= r) between two paths from
     (0, n) to (m + n, m): lower[i] < a + b <= upper[i] at file i = a - b + n.
@@ -128,10 +109,19 @@ def _steps_from_heights(heights: list[int]) -> tuple[str, ...]:
     return tuple(["U" if b > a else "D" for a, b in zip(heights, heights[1:])])
 
 
-def _heights_from_letters(steps: Iterable[str], start: int, rises: tuple[dict, dict]) -> list[list[int]]:
+def _letters(by_rises: dict, bh: list[int], th: list[int]) -> list[str]:
+    """The image letter of each step of the pair with heights bh and th."""
+    return [by_rises[b1 - b0, t1 - t0] for b0, b1, t0, t1 in zip(bh, bh[1:], th, th[1:])]
+
+
+def _heights_from_letters(steps: Iterable[str], start: int, rises_by: dict) -> tuple[list[int], list[int]]:
     """Heights of B and T, both starting at start, of the pair whose
     letterwise image is steps."""
-    return [list(accumulate(map(rise.__getitem__, steps), initial=start)) for rise in rises]
+    bh, th = [start], [start]
+    for db, dt in map(rises_by.__getitem__, steps):
+        bh.append(bh[-1] + db)
+        th.append(th[-1] + dt)
+    return bh, th
 
 
 def _canonicalize_shared_blocks(bh: list[int], th: list[int]) -> None:
@@ -153,34 +143,42 @@ def _canonicalize_shared_blocks(bh: list[int], th: list[int]) -> None:
             i += 1
 
 
-def _poset_for(spec: PosetSpec, poset: FinitePoset | None) -> FinitePoset:
-    return poset if poset is not None else build_poset(spec)
-
-
 # ---------------------------------------------------------------------------
 # ICS <-> canonical nested pair
 
 
-def ics_to_nested_pair(
-    spec: PosetSpec, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> NestedPairBT:
-    """Canonical (B, T) pair of an ICS of a rectangle, truncated rectangle, or
-    root triangle."""
+def _pair_heights(spec: PosetSpec, ics: Iterable[Label]) -> tuple[int, int, int, list[int], list[int]]:
+    """(m, n, r) and the heights of B and of T of the canonical pair of an
+    ICS of a rectangle, truncated rectangle, or root triangle."""
     m, n, r = _frame(spec)
-    poset = _poset_for(spec, poset)
+    poset = build_poset(spec)
     members = poset.indices_of(ics)
     require_ics(poset, members)
-    th = _ideal_heights(m, n, r, poset, _union(poset._down, members))
-    # B bounds the ideal minus the ICS.  A file is a chain, and its members
-    # are the top of the ideal's segment there (an element of the ideal above
-    # a member lies below another member), so B runs just below the file's
-    # lowest member: at its a + b minus 2, the floor if it is the file's
-    # lowest element.
+    # T bounds the down-closure: the floor, raised at each file to a + b of
+    # the closure's highest element there
+    labels = poset.labels
+    floor, masks = _files(poset, m, n, r)
+    closure = _union(poset._down, members)
+    th = list(floor)
+    for i, file in enumerate(masks):
+        top = (closure & file).bit_length() - 1
+        if top >= 0:
+            th[i] = sum(labels[top])
+    # B bounds the ideal minus the ICS.  A file is a chain whose members top
+    # the ideal's segment there (an element of the ideal above a member lies
+    # below another member), so B runs just below the file's lowest member.
     bh = list(th)
-    for a, b in map(poset.labels.__getitem__, members):
+    for a, b in map(labels.__getitem__, members):
         if a + b - 2 < bh[a - b + n]:
             bh[a - b + n] = a + b - 2
     _canonicalize_shared_blocks(bh, th)
+    return m, n, r, bh, th
+
+
+def ics_to_nested_pair(spec: PosetSpec, ics: Iterable[Label]) -> NestedPairBT:
+    """Canonical (B, T) pair of an ICS of a rectangle, truncated rectangle, or
+    root triangle."""
+    m, n, r, bh, th = _pair_heights(spec, ics)
     return NestedPairBT(m, n, r, _steps_from_heights(bh), _steps_from_heights(th))
 
 
@@ -203,31 +201,24 @@ def nested_pair_to_motzkin(pair: NestedPairBT) -> MotzkinWord:
     problem = validate_nested_pair(pair)
     if problem is not None:
         raise ValueError(f"invalid nested pair: {problem}")
-    return MotzkinWord(
-        _PAIR_TO_MOTZKIN[bt] for bt in zip(pair.bottom, pair.top)
-    )
+    return MotzkinWord(_letters(_MOTZKIN_BY_RISES, pair.bottom_heights(), pair.top_heights()))
 
 
 def motzkin_to_nested_pair(word: MotzkinWord) -> NestedPairBT:
     verdict = validate_motzkin(word)
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
-    pairs = [_MOTZKIN_TO_PAIR[s] for s in word.steps]
-    return NestedPairBT(
-        verdict.m, verdict.n, 0, (b for b, _ in pairs), (t for _, t in pairs)
-    )
+    bh, th = _heights_from_letters(word.steps, verdict.n, _RISES_BY_MOTZKIN)
+    return NestedPairBT(verdict.m, verdict.n, 0, _steps_from_heights(bh), _steps_from_heights(th))
 
 
 # ---------------------------------------------------------------------------
 # ICS <-> Motzkin word (rectangles)
 
 
-def ics_to_motzkin(
-    m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> MotzkinWord:
-    # the pair is canonical with floor 0 by construction: no validate_nested_pair
-    pair = ics_to_nested_pair(ChainProduct(m, n), ics, poset)
-    return MotzkinWord(map(_PAIR_TO_MOTZKIN.__getitem__, zip(pair.bottom, pair.top)))
+def ics_to_motzkin(m: int, n: int, ics: Iterable[Label]) -> MotzkinWord:
+    _, _, _, bh, th = _pair_heights(ChainProduct(m, n), ics)
+    return MotzkinWord(_letters(_MOTZKIN_BY_RISES, bh, th))
 
 
 def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
@@ -237,7 +228,7 @@ def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
     m, n = verdict.m, verdict.n
-    bh, th = _heights_from_letters(word.steps, n, _MOTZKIN_RISES)
+    bh, th = _heights_from_letters(word.steps, n, _RISES_BY_MOTZKIN)
     return m, n, _cells_between(m, n, 0, bh, th)
 
 
@@ -245,11 +236,9 @@ def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
 # ICS <-> quarter-plane walk (truncated rectangles and root triangles)
 
 
-def ics_to_walk(
-    spec: PosetSpec, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> QuarterWalk:
-    pair = ics_to_nested_pair(spec, ics, poset)
-    return QuarterWalk(pair.n - pair.r, map(_PAIR_TO_WALK.__getitem__, zip(pair.bottom, pair.top)))
+def ics_to_walk(spec: PosetSpec, ics: Iterable[Label]) -> QuarterWalk:
+    _, n, r, bh, th = _pair_heights(spec, ics)
+    return QuarterWalk(n - r, _letters(_WALK_BY_RISES, bh, th))
 
 
 def walk_frame(walk: QuarterWalk) -> tuple[int, int, int]:
@@ -271,7 +260,7 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
     """Invert the walk map.  Returns the poset spec (truncation normalized to
     r >= 0) together with the ICS."""
     m, n, r = walk_frame(walk)
-    bh, th = _heights_from_letters(walk.steps, n, _WALK_RISES)
+    bh, th = _heights_from_letters(walk.steps, n, _RISES_BY_WALK)
     r_eff = max(r, 0)
     spec = ChainProduct(m, n) if r_eff == 0 else TruncatedRectangle(m, n, r_eff)
     return spec, _cells_between(m, n, r_eff, bh, th)
@@ -289,14 +278,12 @@ class ElementClassification:
     incomparable: frozenset[Label]
 
 
-def classify_elements(
-    spec: PosetSpec, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> ElementClassification:
+def classify_elements(spec: PosetSpec, ics: Iterable[Label]) -> ElementClassification:
     """Partition the poset into the ICS, the rest of its ideal closure, the
     rest of its filter closure, and the elements comparable with nothing in
     it."""
     _frame(spec)  # restrict to the rectangle-like families
-    poset = _poset_for(spec, poset)
+    poset = build_poset(spec)
     members = poset.indices_of(ics)
     require_ics(poset, members)
     delta = ideal_closure(poset, members)
@@ -314,19 +301,14 @@ def classify_elements(
 # Full ICS and the shift map
 
 
-def is_full_ics(
-    m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> bool:
+def is_full_ics(m: int, n: int, ics: Iterable[Label]) -> bool:
     """Whether the bounding paths of the ICS meet only at their endpoints,
     i.e. the Motzkin image leaves the x-axis immediately and for good."""
-    word = ics_to_motzkin(m, n, ics, poset)
-    heights = word.heights()
-    return all(h > 0 for h in heights[1:-1])
+    _, _, _, bh, th = _pair_heights(ChainProduct(m, n), ics)
+    return all(t > b for b, t in zip(bh[1:-1], th[1:-1]))
 
 
-def shift_map(
-    m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> frozenset[Label]:
+def shift_map(m: int, n: int, ics: Iterable[Label]) -> frozenset[Label]:
     """Send an ICS of [m] x [n] touching every file a in 1..m to a full ICS
     of [m+1] x [n]: prepend a U step to the upper path, append one to the
     lower path."""
@@ -336,32 +318,24 @@ def shift_map(
         raise ValueError(
             f"shift map needs an element in every file 1..{m}, missing {sorted(set(range(1, m + 1)) - files)}"
         )
-    poset = _poset_for(ChainProduct(m, n), poset)
-    members = poset.indices_of(ics)
-    require_ics(poset, members)
-    # the upper path bounds the ideal closure, the lower one the elements above no member
-    upper = _ideal_heights(m, n, 0, poset, _union(poset._down, members))
-    lower = _ideal_heights(m, n, 0, poset, ~_union(poset._up, members))
-    new_upper = [n] + [h + 1 for h in upper]
-    new_lower = lower + [lower[-1] + 1]
-    return _cells_between(m + 1, n, 0, new_lower, new_upper)
+    # the canonical pair: B is the highest path below every member, and T is
+    # the down-closure's boundary, which has no valley inside a shared block:
+    # at a valley x = (a, b), neither the member (a, c) nor the member above
+    # (a, b - 1) lies above x, so (a, b - 1), at the next file, is a member
+    _, _, _, lower, upper = _pair_heights(ChainProduct(m, n), ics)
+    return _cells_between(m + 1, n, 0, lower + [lower[-1] + 1], [n] + [h + 1 for h in upper])
 
 
-def shift_map_inverse(
-    m: int, n: int, ics: Iterable[Label], poset: FinitePoset | None = None
-) -> frozenset[Label]:
+def shift_map_inverse(m: int, n: int, ics: Iterable[Label]) -> frozenset[Label]:
     """Inverse of the shift map: a full ICS of [m] x [n] (m >= 1) back to an
     ICS of [m-1] x [n] touching every file."""
-    pair = ics_to_nested_pair(ChainProduct(m, n), ics, poset)
-    top, bottom = pair.top_heights(), pair.bottom_heights()
-    # full: the paths meet only at their endpoints (is_full_ics, on the pair)
+    _, _, _, bottom, top = _pair_heights(ChainProduct(m, n), ics)
+    # full: the paths meet only at their endpoints (is_full_ics)
     if any(t <= b for t, b in zip(top[1:-1], bottom[1:-1])):
         raise ValueError("shift map inverse is only defined on full ICS")
-    if pair.top[0] != "U" or pair.bottom[-1] != "U":
+    if top[1] < top[0] or bottom[-1] < bottom[-2]:
         raise ValueError("full ICS paths do not start/end with the shift step")
-    upper = [h - 1 for h in top[1:]]
-    lower = bottom[:-1]
-    out = _cells_between(m - 1, n, 0, lower, upper)
+    out = _cells_between(m - 1, n, 0, bottom[:-1], [h - 1 for h in top[1:]])
     files = {a for a, _ in out}
     if files != set(range(1, m)):
         raise AssertionError("inverse shift lost a file")  # pragma: no cover

@@ -211,18 +211,17 @@ def cmd_map(args) -> int:
     spec = parse_poset_spec(args.spec)
     if args.inverse:
         return _cmd_map_inverse(args, spec)
-    poset = posets.build_poset(spec)
     labels = parse_ics_json(args.input)
-    poset.indices_of(labels)  # unknown labels exit 2 before any family check
+    posets.build_poset(spec).indices_of(labels)  # unknown labels exit 2 before any family check
     m, n, _ = _map_frame(args, spec)
     if args.to == "motzkin":
-        word = bijections.ics_to_motzkin(m, n, labels, poset)
+        word = bijections.ics_to_motzkin(m, n, labels)
         print(paths.motzkin_to_text(word))
     elif args.to == "walk":
-        walk = bijections.ics_to_walk(spec, labels, poset)
+        walk = bijections.ics_to_walk(spec, labels)
         print(paths.walk_to_text(walk))
     elif args.to == "classify":
-        cl = bijections.classify_elements(spec, labels, poset)
+        cl = bijections.classify_elements(spec, labels)
         payload = {
             "in": json.loads(format_labels(cl.in_ics)),
             "below_only": json.loads(format_labels(cl.below_only)),

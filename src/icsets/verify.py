@@ -146,7 +146,7 @@ def _check_narayana(total: int):
             fulls = sum(
                 1
                 for s in posets.enumerate_ics(poset)
-                if bijections.is_full_ics(m, n, poset.labels_of(s), poset)
+                if bijections.is_full_ics(m, n, poset.labels_of(s))
             )
             expected.extend([fulls, fulls])
             actual.extend([series.full_count(m, n), series.narayana(m + n - 1, n)])
@@ -227,7 +227,7 @@ def _check_motzkin_roundtrips(top: int):
             poset = posets.build_poset(posets.ChainProduct(m, n))
             for s in posets.enumerate_ics(poset):
                 labels = poset.labels_of(s)
-                word = bijections.ics_to_motzkin(m, n, labels, poset)
+                word = bijections.ics_to_motzkin(m, n, labels)
                 if bijections.motzkin_to_ics(word) != (m, n, labels):
                     bad.append((m, n, labels))
                     continue
@@ -257,7 +257,7 @@ def _check_walk_roundtrips(total: int):
         poset = posets.build_poset(spec)
         for s in posets.enumerate_ics(poset):
             labels = poset.labels_of(s)
-            walk = bijections.ics_to_walk(spec, labels, poset)
+            walk = bijections.ics_to_walk(spec, labels)
             if bijections.walk_to_ics(walk)[1] != labels:
                 bad.append((spec, labels))
                 continue
@@ -303,15 +303,15 @@ def _check_shift_map(total: int):
             fulls = {
                 target.labels_of(s)
                 for s in posets.enumerate_ics(target)
-                if bijections.is_full_ics(m + 1, n, target.labels_of(s), target)
+                if bijections.is_full_ics(m + 1, n, target.labels_of(s))
             }
             images = set()
             for s in posets.enumerate_ics(poset):
                 labels = poset.labels_of(s)
                 if not posets.subset_stats(poset, s).hits_all_files:
                     continue
-                image = bijections.shift_map(m, n, labels, poset)
-                if bijections.shift_map_inverse(m + 1, n, image, target) != labels:
+                image = bijections.shift_map(m, n, labels)
+                if bijections.shift_map_inverse(m + 1, n, image) != labels:
                     bad.append((m, n, labels, "round trip"))
                 images.add(image)
             if images != fulls:

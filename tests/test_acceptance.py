@@ -111,7 +111,7 @@ def test_criterion_6_narayana():
                 fulls = sum(
                     1
                     for s in posets.enumerate_ics(poset)
-                    if bijections.is_full_ics(m, n, poset.labels_of(s), poset)
+                    if bijections.is_full_ics(m, n, poset.labels_of(s))
                 )
                 assert fulls == series.full_count(m, n) == series.narayana(m + n - 1, n)
                 if m + n <= 7:
@@ -134,16 +134,16 @@ def test_criterion_6_narayana():
                 fulls = {
                     target.labels_of(s)
                     for s in posets.enumerate_ics(target)
-                    if bijections.is_full_ics(m + 1, n, target.labels_of(s), target)
+                    if bijections.is_full_ics(m + 1, n, target.labels_of(s))
                 }
                 images = {
-                    bijections.shift_map(m, n, labels, source) for labels in eligible
+                    bijections.shift_map(m, n, labels) for labels in eligible
                 }
                 assert len(images) == len(eligible)
                 assert images == fulls
                 for labels in eligible:
-                    image = bijections.shift_map(m, n, labels, source)
-                    assert bijections.shift_map_inverse(m + 1, n, image, target) == labels
+                    image = bijections.shift_map(m, n, labels)
+                    assert bijections.shift_map_inverse(m + 1, n, image) == labels
 
 
 def test_criterion_7_round_trips_and_transport():
@@ -153,7 +153,7 @@ def test_criterion_7_round_trips_and_transport():
                 poset = posets.build_poset(posets.ChainProduct(m, n))
                 for s in posets.enumerate_ics(poset):
                     labels = poset.labels_of(s)
-                    word = bijections.ics_to_motzkin(m, n, labels, poset)
+                    word = bijections.ics_to_motzkin(m, n, labels)
                     assert bijections.motzkin_to_ics(word) == (m, n, labels)
                     st = posets.subset_stats(poset, s)
                     ms = paths.motzkin_stats(word)
@@ -171,7 +171,7 @@ def test_criterion_7_round_trips_and_transport():
             poset = posets.build_poset(spec)
             for s in posets.enumerate_ics(poset):
                 labels = poset.labels_of(s)
-                walk = bijections.ics_to_walk(spec, labels, poset)
+                walk = bijections.ics_to_walk(spec, labels)
                 assert bijections.walk_to_ics(walk)[1] == labels
                 st = posets.subset_stats(poset, s)
                 ws = paths.walk_stats(walk)

@@ -9,8 +9,6 @@ import pytest
 
 from icsets import posets
 from icsets.bijections import (
-    _PAIR_TO_WALK,
-    _WALK_TO_PAIR,
     NotIntervalClosed,
     _canonicalize_shared_blocks,
     _cells_between,
@@ -72,6 +70,10 @@ TRIANGLE_B = "UUDDUUUDDUDD"
 TRUNCATED_T = "UDUDDUUDD"
 TRUNCATED_B = "DDDDUUDUU"
 
+# the walk letter of each (B step, T step) of a nested pair, and back
+PAIR_TO_WALK = {("D", "U"): "NW", ("U", "D"): "SE", ("U", "U"): "E", ("D", "D"): "W"}
+WALK_TO_PAIR = {v: k for k, v in PAIR_TO_WALK.items()}
+
 
 # ---------------------------------------------------------------------------
 # reference path maps: the frame-scanning definitions the maps replaced
@@ -118,17 +120,17 @@ def _reference_pair(spec, labels, poset):
 def _check_against_references(spec, labels, poset):
     """The pair, its Motzkin word or walk, and every inverse equal those of
     the reference definitions."""
-    pair = ics_to_nested_pair(spec, labels, poset)
+    pair = ics_to_nested_pair(spec, labels)
     ref = _reference_pair(spec, labels, poset)
     assert pair == ref
     m, n, r = ref.m, ref.n, ref.r
     cells = _box_scan(m, n, r, ref.bottom_heights(), ref.top_heights())
     assert nested_pair_to_ics(pair) == cells == labels
-    walk = ics_to_walk(spec, labels, poset)
-    assert walk == QuarterWalk(n - r, (_PAIR_TO_WALK[bt] for bt in zip(ref.bottom, ref.top)))
+    walk = ics_to_walk(spec, labels)
+    assert walk == QuarterWalk(n - r, (PAIR_TO_WALK[bt] for bt in zip(ref.bottom, ref.top)))
     assert walk_to_ics(walk)[1] == cells
     if r == 0:
-        word = ics_to_motzkin(m, n, labels, poset)
+        word = ics_to_motzkin(m, n, labels)
         assert word == nested_pair_to_motzkin(ref)
         assert motzkin_to_ics(word) == (m, n, cells)
 
@@ -243,7 +245,7 @@ def test_motzkin_roundtrip_and_image_sweep():
             images = set()
             for s in enumerate_ics(poset):
                 labels = poset.labels_of(s)
-                word = ics_to_motzkin(m, n, labels, poset)
+                word = ics_to_motzkin(m, n, labels)
                 assert motzkin_to_ics(word) == (m, n, labels)
                 images.add(word.steps)
                 _check_against_references(ChainProduct(m, n), labels, poset)
@@ -255,7 +257,7 @@ def test_statistic_transport_small():
         poset = build_poset(ChainProduct(m, n))
         for s in enumerate_ics(poset):
             st = subset_stats(poset, s)
-            ms = motzkin_stats(ics_to_motzkin(m, n, poset.labels_of(s), poset))
+            ms = motzkin_stats(ics_to_motzkin(m, n, poset.labels_of(s)))
             assert st.cardinality == ms.area
             assert st.component_count == ms.returns
             assert st.incomparable_count == ms.axis_run_product_sum
@@ -317,7 +319,7 @@ def test_walk_roundtrip_sweep():
         poset = build_poset(spec)
         for s in enumerate_ics(poset):
             labels = poset.labels_of(s)
-            walk = ics_to_walk(spec, labels, poset)
+            walk = ics_to_walk(spec, labels)
             _, back = walk_to_ics(walk)
             assert back == labels
             _check_against_references(spec, labels, poset)
@@ -353,7 +355,7 @@ def test_classify_single_incomparable_example():
 def test_classification_is_a_partition():
     poset = build_poset(ChainProduct(3, 3))
     for s in enumerate_ics(poset):
-        cl = classify_elements(ChainProduct(3, 3), poset.labels_of(s), poset)
+        cl = classify_elements(ChainProduct(3, 3), poset.labels_of(s))
         assert cl.in_ics == poset.labels_of(s)
         parts = [cl.in_ics, cl.below_only, cl.above_only, cl.incomparable]
         assert sum(len(p) for p in parts) == 9
@@ -369,8 +371,8 @@ def test_classify_matches_path_geometry():
     poset = build_poset(ChainProduct(m, n))
     for s in enumerate_ics(poset):
         labels = poset.labels_of(s)
-        cl = classify_elements(ChainProduct(m, n), labels, poset)
-        pair = ics_to_nested_pair(ChainProduct(m, n), labels, poset)
+        cl = classify_elements(ChainProduct(m, n), labels)
+        pair = ics_to_nested_pair(ChainProduct(m, n), labels)
         bh, th = pair.bottom_heights(), pair.top_heights()
         geometric = {
             (a, b)
@@ -392,7 +394,7 @@ def test_is_full_examples():
     fulls = [
         poset.labels_of(s)
         for s in enumerate_ics(poset)
-        if is_full_ics(2, 2, poset.labels_of(s), poset)
+        if is_full_ics(2, 2, poset.labels_of(s))
     ]
     assert len(fulls) == 3
 
@@ -416,13 +418,13 @@ def test_shift_map_bijection_sweep():
             fulls = {
                 target.labels_of(s)
                 for s in enumerate_ics(target)
-                if is_full_ics(m + 1, n, target.labels_of(s), target)
+                if is_full_ics(m + 1, n, target.labels_of(s))
             }
-            images = {shift_map(m, n, labels, source) for labels in eligible}
+            images = {shift_map(m, n, labels) for labels in eligible}
             assert len(images) == len(eligible)  # injective
             assert images == fulls  # onto
             for labels in eligible:
-                assert shift_map_inverse(m + 1, n, shift_map(m, n, labels, source), target) == labels
+                assert shift_map_inverse(m + 1, n, shift_map(m, n, labels)) == labels
 
 
 def _reference_shift_map(m, n, labels, poset):
@@ -459,9 +461,9 @@ def test_shift_maps_match_references():
             for s in enumerate_ics(poset):
                 labels = poset.labels_of(s)
                 if {a for a, _ in labels} == set(range(1, m + 1)):
-                    assert shift_map(m, n, labels, poset) == _reference_shift_map(m, n, labels, poset)
-                if is_full_ics(m, n, labels, poset):
-                    assert shift_map_inverse(m, n, labels, poset) == _reference_shift_map_inverse(
+                    assert shift_map(m, n, labels) == _reference_shift_map(m, n, labels, poset)
+                if is_full_ics(m, n, labels):
+                    assert shift_map_inverse(m, n, labels) == _reference_shift_map_inverse(
                         m, n, labels, poset
                     )
 
@@ -494,18 +496,25 @@ def test_poset_caches_let_an_evicted_poset_go():
     # _files keys on the poset, so its cache must not outlive build_poset's:
     # after 16 other specs pass through both, the first poset is freed
     poset = build_poset(ChainProduct(3, 17))
-    ics_to_motzkin(3, 17, [(1, 1)], poset)
+    ics_to_motzkin(3, 17, [(1, 1)])
     freed = weakref.ref(poset)
     del poset
     for m in range(1, 17):
-        ics_to_motzkin(m, 19, [], build_poset(ChainProduct(m, 19)))
+        ics_to_motzkin(m, 19, [])
     gc.collect()
     assert freed() is None
 
 
 def test_labels_outside_the_poset_are_value_errors():
+    # the maps take a spec, not a built poset: a label outside the spec is
+    # refused even while a larger poset holding it is cached
+    larger = build_poset(ChainProduct(3, 3))
     with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(3, 3\)\]$"):
         ics_to_motzkin(2, 2, [(3, 3)])
+    with pytest.raises(TypeError):
+        ics_to_motzkin(2, 2, [(1, 1)], larger)
+    cl = classify_elements(ChainProduct(2, 2), [(1, 1)])
+    assert cl.above_only == frozenset([(1, 2), (2, 1), (2, 2)])
     with pytest.raises(ValueError, match=r"^elements not in the poset: \[\(0, 1\)\]$"):
         classify_elements(ChainProduct(2, 2), [(0, 1)])
     with pytest.raises(ValueError, match=r"not in the poset: \[\(1, 1\)\]"):
@@ -563,36 +572,54 @@ def _ladder_spec(frame):
 
 
 def _composition_cases():
+    """(spec, labels, whether the case is one of every ICS of a small spec)"""
     for spec in (ChainProduct(4, 4), TruncatedRectangle(5, 5, 2), TypeARoot(5)):
         poset = build_poset(spec)
         for s in enumerate_ics(poset):
-            yield spec, poset.labels_of(s)
+            yield spec, poset.labels_of(s), True
     rng = random.Random("direct maps against the validated compositions")
     for frame in SWEEP_LADDER:
         for _ in range(200):
-            yield _ladder_spec(frame), _random_ics(rng, frame)
+            yield _ladder_spec(frame), _random_ics(rng, frame), False
 
 
 def test_direct_maps_equal_the_validated_compositions():
     # the direct maps validate no pair they build; the compositions validate
     # every pair they pass on (nested_pair_to_ics and nested_pair_to_motzkin
     # check the pair, and the recoded pairs equal it)
-    for spec, labels in _composition_cases():
-        poset = build_poset(spec)
+    for spec, labels, every_ics in _composition_cases():
         m, n, r = family_of(spec).frame(normalize_spec(spec))
-        pair = ics_to_nested_pair(spec, labels, poset)
+        pair = ics_to_nested_pair(spec, labels)
         cells = nested_pair_to_ics(pair)
         assert cells == labels
-        walk = ics_to_walk(spec, labels, poset)
-        assert walk == QuarterWalk(n - r, (_PAIR_TO_WALK[bt] for bt in zip(pair.bottom, pair.top)))
-        recoded = [_WALK_TO_PAIR[s] for s in walk.steps]
+        walk = ics_to_walk(spec, labels)
+        assert walk == QuarterWalk(n - r, (PAIR_TO_WALK[bt] for bt in zip(pair.bottom, pair.top)))
+        recoded = [WALK_TO_PAIR[s] for s in walk.steps]
         assert NestedPairBT(m, n, r, (b for b, _ in recoded), (t for _, t in recoded)) == pair
         assert walk_to_ics(walk) == (TruncatedRectangle(m, n, r) if r else ChainProduct(m, n), cells)
         if r == 0:
-            word = ics_to_motzkin(m, n, labels, poset)
+            word = ics_to_motzkin(m, n, labels)
             assert word == nested_pair_to_motzkin(pair)
             assert motzkin_to_nested_pair(word) == pair
             assert motzkin_to_ics(word) == (m, n, cells)
+        if every_ics:
+            _check_full_ics_and_shift_map(m, n, labels)
+
+
+def _check_full_ics_and_shift_map(m, n, labels):
+    # an ICS of a truncated rectangle or root triangle is one of its frame's
+    # rectangle too, as those posets are up-sets of it
+    rect = build_poset(ChainProduct(m, n))
+    heights = ics_to_motzkin(m, n, labels).heights()
+    full = all(h > 0 for h in heights[1:-1])  # the word-based definition
+    assert is_full_ics(m, n, labels) == full
+    if full:
+        assert shift_map_inverse(m, n, labels) == _reference_shift_map_inverse(m, n, labels, rect)
+    if {a for a, _ in labels} == set(range(1, m + 1)):
+        image = shift_map(m, n, labels)
+        assert image == _reference_shift_map(m, n, labels, rect)
+        assert is_full_ics(m + 1, n, image)
+        assert shift_map_inverse(m + 1, n, image) == labels
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,18 @@ def test_map_truncation_zero_has_motzkin_images(capsys, dims, ics):
     assert run(capsys, "map", spec, word.strip(), "--to", "motzkin", "--inverse") == (0, ics + "\n", "")
 
 
+def test_map_truncation_zero_reads_the_rectangle_on_every_ics(capsys):
+    # the maps build the rectangle's poset from its own spec, so trunc:3x3:0
+    # prints the bytes of rect:3x3 for every ICS and both forward images
+    poset = posets.build_poset(ChainProduct(3, 3))
+    for s in posets.enumerate_ics(poset):
+        ics = cli.format_labels(poset.labels_of(s))
+        for to in ("motzkin", "classify"):
+            expected = run(capsys, "map", "rect:3x3", ics, "--to", to)
+            assert expected[0] == 0
+            assert run(capsys, "map", "trunc:3x3:0", ics, "--to", to) == expected
+
+
 def test_map_classify(capsys):
     code, out, _ = run(capsys, "map", "rect:2x2", "[1,1]", "--to", "classify")
     assert code == 0

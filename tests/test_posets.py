@@ -576,11 +576,17 @@ ORDINAL_SUM_SPECS = [
 ]
 
 
+COVER_REFERENCE_CASES = [(spec, _componentwise_leq) for spec in GRID_SPECS] + [
+    (spec, _ordinal_sum_leq) for spec in ORDINAL_SUM_SPECS
+]
+
+
+# the ids read as ids=str did without the function's address, which changes
+# from process to process
 @pytest.mark.parametrize(
     "spec,leq_labels",
-    [(spec, _componentwise_leq) for spec in GRID_SPECS]
-    + [(spec, _ordinal_sum_leq) for spec in ORDINAL_SUM_SPECS],
-    ids=str,
+    COVER_REFERENCE_CASES,
+    ids=[f"{spec}-<function {leq.__name__}>" for spec, leq in COVER_REFERENCE_CASES],
 )
 def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
     poset = build_poset(spec)

@@ -162,7 +162,7 @@ def test_full_count_matches_brute_force():
             brute = sum(
                 1
                 for s in enumerate_ics(poset)
-                if is_full_ics(m, n, poset.labels_of(s), poset)
+                if is_full_ics(m, n, poset.labels_of(s))
             )
             assert full_count(m, n) == brute == narayana(m + n - 1, n)
 
