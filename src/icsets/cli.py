@@ -81,8 +81,13 @@ def parse_ics_json(text: str) -> frozenset[tuple]:
     return frozenset(out)
 
 
+def label_rows(labels) -> list[list]:
+    """Sorted labels as JSON-ready lists."""
+    return [list(lab) for lab in sorted(labels)]
+
+
 def format_labels(labels) -> str:
-    return json.dumps([list(lab) for lab in sorted(labels)], separators=(",", ":"))
+    return json.dumps(label_rows(labels), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +161,14 @@ def cmd_enumerate(args) -> int:
     posets.check_oracle_scale(posets.family_of(spec).size(spec))  # before building
     poset = posets.build_poset(spec)
     stream = (
-        sorted(poset.labels_of(s))
+        label_rows(poset.labels_of(s))
         for s in posets.enumerate_ics(poset, limit=args.limit)
     )
     if args.json:
-        rows = [[list(lab) for lab in row] for row in stream]
-        print(json.dumps(rows, separators=(",", ":")))
+        print(json.dumps(list(stream), separators=(",", ":")))
     else:
         for row in stream:
-            print(json.dumps([list(lab) for lab in row], separators=(",", ":")))
+            print(json.dumps(row, separators=(",", ":")))
     return EXIT_OK
 
 
@@ -223,10 +227,10 @@ def cmd_map(args) -> int:
     elif args.to == "classify":
         cl = bijections.classify_elements(spec, labels)
         payload = {
-            "in": json.loads(format_labels(cl.in_ics)),
-            "below_only": json.loads(format_labels(cl.below_only)),
-            "above_only": json.loads(format_labels(cl.above_only)),
-            "incomparable": json.loads(format_labels(cl.incomparable)),
+            "in": label_rows(cl.in_ics),
+            "below_only": label_rows(cl.below_only),
+            "above_only": label_rows(cl.above_only),
+            "incomparable": label_rows(cl.incomparable),
         }
         print(json.dumps(payload, separators=(",", ":")))
     return EXIT_OK

@@ -554,12 +554,20 @@ def find_ics_violation(
     poset: FinitePoset, members: Iterable[int]
 ) -> tuple[int, int, int] | None:
     """Return indices (x, z, y) with x < z < y, x and y in the subset, z not;
-    None when the subset is interval-closed."""
+    None when the subset is interval-closed.
+
+    The witness is fixed: x is the lowest member index with a violation, y the
+    lowest member index above x with a missing element between them, and z
+    the lowest such missing index.  Cost: O(|I|^2) steps of one AND each."""
     mask = poset.mask_of(members)
     up, down = poset._up, poset._down
+    outside = ~mask  # x and y are members, so their bits drop out of every gap
     for x in _iter_bits(mask):
+        gaps = up[x] & outside
+        if not gaps:
+            continue
         for y in _iter_bits((mask & up[x]) ^ 1 << x):
-            missing = up[x] & down[y] & ~mask  # x and y are members, so ~mask drops them
+            missing = gaps & down[y]
             if missing:
                 return (x, (missing & -missing).bit_length() - 1, y)
     return None
@@ -570,9 +578,10 @@ def is_interval_closed(poset: FinitePoset, members: Iterable[int]) -> bool:
 
 
 def require_ics(poset: FinitePoset, members: Iterable[int]) -> None:
-    """Raise NotIntervalClosed, naming a violating label triple, unless the
-    subset is interval-closed."""
-    # pairwise, O(|I|^2)
+    """Raise NotIntervalClosed, naming the label triple (x, z, y) of
+    find_ics_violation, unless the subset is interval-closed: x the lowest
+    violating member, y the lowest member above x with a gap, z the lowest
+    missing element between them.  Cost: O(|I|^2) steps of one AND each."""
     witness = find_ics_violation(poset, members)
     if witness is not None:
         raise NotIntervalClosed(tuple(poset.labels[i] for i in witness))

@@ -1,6 +1,7 @@
 """Poset builders, the ICS predicate, closures, and the enumeration oracle."""
 
 import copy
+import importlib.util
 import itertools
 import json
 import pickle
@@ -158,11 +159,82 @@ def test_is_interval_closed_examples():
     assert is_interval_closed(poset, ())
     bad = poset.indices_of([(1, 1), (2, 2)])
     assert not is_interval_closed(poset, bad)
-    x, z, y = (poset.labels[i] for i in find_ics_violation(poset, bad))
-    assert (x, z, y) in {((1, 1), (1, 2), (2, 2)), ((1, 1), (2, 1), (2, 2))}
+    witness = tuple(poset.labels[i] for i in find_ics_violation(poset, bad))
+    assert witness == ((1, 1), (1, 2), (2, 2))
     triangle = build_poset(TypeARoot(2))
     both_minimal = triangle.indices_of([(2, 3), (3, 2)])
     assert is_interval_closed(triangle, both_minimal)
+
+
+def first_violation(poset, members):
+    """find_ics_violation's witness rule by brute force over leq: the lowest
+    member x with a violation, the lowest member y above x with a missing
+    element between them, and the lowest such missing z."""
+    members = sorted(members)
+    outside = sorted(set(range(poset.n)) - set(members))
+    for x in members:
+        above_x = [z for z in outside if poset.leq(x, z)]
+        for y in members:
+            if y != x and poset.leq(x, y):
+                for z in above_x:
+                    if poset.leq(z, y):
+                        return (x, z, y)
+    return None
+
+
+WITNESS_SPECS = [
+    ChainProduct(2, 5),
+    TruncatedRectangle(4, 5, 4),
+    TypeARoot(4),
+    TypeBMinuscule(4),
+    TypeBRoot(3),
+    ChainProduct3(1, 2, 5),
+    OrdinalSumAntichains((3, 1, 4, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", WITNESS_SPECS, ids=str)
+def test_violation_witness_follows_its_rule_on_every_subset(spec):
+    poset = build_poset(spec)
+    assert 9 <= poset.n <= 10
+    for mask in range(1 << poset.n):
+        members = poset.members_of(mask)
+        assert find_ics_violation(poset, members) == first_violation(poset, members)
+
+
+def _load_catalogue():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "catalogue.py"
+    module_spec = importlib.util.spec_from_file_location("_bench_catalogue", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+CATALOGUE = _load_catalogue()
+
+
+@pytest.mark.parametrize("frame", CATALOGUE.SWEEP_LADDER, ids=str)
+def test_violation_witness_follows_its_rule_on_ladder_frames(frame):
+    """Random subsets of each density, and sweep-style ICS whole, with one
+    member dropped, and with one element added.  Each frame (family, m, n, r)
+    has the labels and order of trunc:MxN:R (r is 0 for rect, and rootA:K is
+    trunc:(K+1)x(K+1):(K+1))."""
+    poset = build_poset(TruncatedRectangle(*frame[1:]))
+    rng = random.Random(f"witness:{frame}")
+    subsets = []
+    for density in (0.05, 0.5, 0.95):
+        subsets += [
+            [i for i in range(poset.n) if rng.random() < density] for _ in range(4)
+        ]
+    for _ in range(4):
+        ics = sorted(poset.indices_of(CATALOGUE.random_ics(rng, frame)))
+        subsets.append(ics)
+        if ics:
+            subsets.append([i for i in ics if i != rng.choice(ics)])
+        subsets.append(ics + [rng.randrange(poset.n)])
+    witnesses = [find_ics_violation(poset, members) for members in subsets]
+    assert witnesses == [first_violation(poset, members) for members in subsets]
+    assert None in witnesses and any(witnesses)
 
 
 def test_closures():
