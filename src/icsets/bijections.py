@@ -29,28 +29,24 @@ the walk's position is (B height - r, half gap).  A walk image runs from
 from a walk's frame via m = (l + s - h)/2, n = (l - s + h)/2,
 r = (l - s - h)/2.
 
-Every map takes a poset spec and reads the poset build_poset(spec) caches,
-so the labels it is given are always checked against that spec.
+The maps read labels as coordinates; the poset build_poset(spec) caches
+is read only by require_ics, which checks the labels against the spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
 from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
     ChainProduct,
-    FinitePoset,
     NotIntervalClosed,
     PosetSpec,
     TruncatedRectangle,
-    _union,
     build_poset,
     family_of,
-    filter_closure,
-    ideal_closure,
     normalize_spec,
     require_ics,
 )
@@ -77,19 +73,6 @@ def _frame(spec: PosetSpec) -> tuple[int, int, int]:
     if frame is None:
         raise ValueError(f"no rectangle frame for {spec}")
     return frame
-
-
-@lru_cache(maxsize=16)
-def _files(poset: FinitePoset, m: int, n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each file i = 0..m+n: the floor height (of the lowest path from
-    (0, n) to (m + n, m) on or above y = r) and the bitmask of the elements
-    with a - b + n = i.  Labels are sorted, so the highest bit of a file's
-    mask is its element with the largest a + b."""
-    floor = tuple(abs(i - n) if abs(i - n) >= r else r + (r - n - i) % 2 for i in range(m + n + 1))
-    masks = [0] * (m + n + 1)
-    for k, (a, b) in enumerate(poset.labels):
-        masks[a - b + n] |= 1 << k
-    return floor, tuple(masks)
 
 
 def _cells_between(m: int, n: int, r: int, lower: list[int], upper: list[int]) -> frozenset[Label]:
@@ -152,23 +135,31 @@ def _pair_heights(spec: PosetSpec, ics: Iterable[Label]) -> tuple[int, int, int,
     ICS of a rectangle, truncated rectangle, or root triangle."""
     m, n, r = _frame(spec)
     poset = build_poset(spec)
-    members = poset.indices_of(ics)
-    require_ics(poset, members)
-    # T bounds the down-closure: the floor, raised at each file to a + b of
-    # the closure's highest element there
-    labels = poset.labels
-    floor, masks = _files(poset, m, n, r)
-    closure = _union(poset._down, members)
-    th = list(floor)
-    for i, file in enumerate(masks):
-        top = (closure & file).bit_length() - 1
-        if top >= 0:
-            th[i] = sum(labels[top])
+    members = frozenset(ics)
+    require_ics(poset, poset.indices_of(members))
+    # T bounds the down-closure and the floor: in column a, the b up to
+    # c_a = max(T_a, r + 1 - a), where T_a is the largest b of a member in a
+    # column a' >= a.  Read back from (m + n, m), the path climbs
+    # c_a - c_(a+1) D steps, then drops over column a's U step.
+    top = [0] * (m + 1)
+    for a, b in members:
+        if b > top[a]:
+            top[a] = b
+    rises, c = [], 0
+    for a in range(m, 0, -1):
+        reach = top[a] if top[a] > r + 1 - a else r + 1 - a
+        if reach > c:
+            rises += [1] * (reach - c)
+            c = reach
+        rises.append(-1)
+    rises += [1] * (n - c)
+    th = list(accumulate(rises, initial=m))
+    th.reverse()
     # B bounds the ideal minus the ICS.  A file is a chain whose members top
     # the ideal's segment there (an element of the ideal above a member lies
     # below another member), so B runs just below the file's lowest member.
     bh = list(th)
-    for a, b in map(labels.__getitem__, members):
+    for a, b in members:
         if a + b - 2 < bh[a - b + n]:
             bh[a - b + n] = a + b - 2
     _canonicalize_shared_blocks(bh, th)
@@ -284,17 +275,21 @@ def classify_elements(spec: PosetSpec, ics: Iterable[Label]) -> ElementClassific
     it."""
     _frame(spec)  # restrict to the rectangle-like families
     poset = build_poset(spec)
-    members = poset.indices_of(ics)
-    require_ics(poset, members)
-    delta = ideal_closure(poset, members)
-    nabla = filter_closure(poset, members)
-    everything = frozenset(range(poset.n))
-    return ElementClassification(
-        in_ics=poset.labels_of(members),
-        below_only=poset.labels_of(delta - members),
-        above_only=poset.labels_of(nabla - members),
-        incomparable=poset.labels_of(everything - delta - nabla),
-    )
+    members = frozenset(ics)
+    require_ics(poset, poset.indices_of(members))
+    files = family_of(spec).files(normalize_spec(spec))
+    # T_a: the largest b of a member in a column a' >= a; L_a: the smallest
+    # in a column a' <= a (a dict keeps a key's last value).  A non-member is
+    # below a member iff b <= T_a, above one iff b >= L_a; never both in an ICS.
+    top, low = dict(sorted(members)), dict(sorted(members, reverse=True))
+    tops = reversed(list(accumulate((top.get(a, 0) for a, _, _ in reversed(files)), max)))
+    lows = accumulate((low.get(a, hi + 1) for a, _, hi in files), min)
+    below, above, incomparable = [], [], []
+    for (a, lo, hi), t, cut in zip(files, tops, lows):
+        below += [(a, b) for b in range(lo, t + 1) if (a, b) not in members]
+        incomparable += [(a, b) for b in range(max(lo, t + 1), min(hi + 1, cut))]
+        above += [(a, b) for b in range(max(lo, t + 1, cut), hi + 1)]
+    return ElementClassification(members, frozenset(below), frozenset(above), frozenset(incomparable))
 
 
 # ---------------------------------------------------------------------------

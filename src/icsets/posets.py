@@ -5,16 +5,17 @@ x, y are in I and x < z < y, then z is in I.  Equivalently, I contains the
 whole order interval between any two of its comparable elements.  Order
 ideals and order filters are special cases.
 
-Poset families built here, one row of FAMILIES each:
+Poset families built here, one row of FAMILIES each.  The first five hold
+pairs (a, b), componentwise, with lo <= b <= hi in column a (Family.files):
 
-  ChainProduct(m, n)          [m] x [n]: pairs (a, b), componentwise order
+  ChainProduct(m, n)          [m] x [n]: 1 <= b <= n
+  TruncatedRectangle(m, n, r) [m] x [n] without the bottom r ranks (the rank
+                              of (a, b) is a + b - 2): max(1, r + 2 - a) <= b <= n
+  TypeARoot(k)                positive-root triangle with k minimal elements:
+                              TruncatedRectangle(k+1, k+1, k+1), column 1 empty
+  TypeBMinuscule(n)           staircase half of [n] x [n]: a <= b <= n
+  TypeBRoot(n)                rootA:2n-1 halved by its mirror: max(a, 2n+2-a) <= b <= 2n
   ChainProduct3(l, m, n)      [l] x [m] x [n]: triples, componentwise order
-  TruncatedRectangle(m, n, r) [m] x [n] with the bottom r ranks removed
-                              (rank of (a, b) is a + b - 2)
-  TypeARoot(k)                positive-root triangle with k minimal elements;
-                              built as TruncatedRectangle(k+1, k+1, k+1)
-  TypeBMinuscule(n)           staircase half {(a, b): a <= b} of [n] x [n]
-  TypeBRoot(n)                half of the 2n-1 root triangle under its mirror
   OrdinalSumAntichains(a)     antichains a_1, ..., a_k stacked in a chain
 
 Conventions:
@@ -234,8 +235,9 @@ class Family:
         form: str,  # CLI text form; the part before the colon is the prefix
         parse: Callable[[str], PosetSpec],  # text after the colon; ValueError if malformed
         check: Callable[[PosetSpec], PosetSpec],  # validated, normalised; ValueError if out of range
-        labels: Callable[[PosetSpec], list[tuple]],  # element labels of a checked spec
         size: Callable[[PosetSpec], int],  # len(labels(spec)), without listing them
+        files: Callable[[PosetSpec], list] | None = None,  # non-empty columns (a, lo, hi): labels (a, lo..hi)
+        labels: Callable[[PosetSpec], list[tuple]] | None = None,  # read from files if None
         # spec -> (label -> labels covering it; those outside the poset are dropped)
         upper_covers: Callable = lambda spec: _unit_steps,
         # number of covers, where they can outnumber the elements many times
@@ -253,8 +255,9 @@ class Family:
         self.form = form
         self.parse = parse
         self.check = check
-        self.labels = labels
         self.size = size
+        self.files = files or (lambda spec: None)
+        self.labels = labels or (lambda spec: [(a, b) for a, lo, hi in files(spec) for b in range(lo, hi + 1)])
         self.upper_covers = upper_covers
         self.covers = covers
         self.frame = frame
@@ -307,15 +310,6 @@ def _check_ordinal_sum(spec: OrdinalSumAntichains) -> OrdinalSumAntichains:
     return spec
 
 
-def _box(*sides: int) -> list[tuple]:
-    return list(itertools.product(*(range(1, s + 1) for s in sides)))
-
-
-def _truncated_box(m: int, n: int, r: int) -> list[tuple[int, int]]:
-    # [m] x [n] without its bottom r ranks (the rank of (a, b) is a + b - 2)
-    return [(a, b) for a, b in _box(m, n) if a + b - 2 >= r]
-
-
 def _next_block(spec: OrdinalSumAntichains):
     # every element of the next block covers the label; past the last block
     # the padded size 0 gives none
@@ -336,8 +330,8 @@ FAMILIES = (
         ChainProduct, "rect:MxN",
         parse=lambda text: ChainProduct(*_ints(text, "x")),
         check=_nonnegative("chain product"),
-        labels=lambda s: _box(s.m, s.n),
         size=lambda s: s.m * s.n,
+        files=lambda s: [(a, 1, s.n) for a in range(1, s.m + 1) if s.n],
         frame=lambda s: (s.m, s.n, 0),
         count_spec=lambda s: ChainProduct(max(s.m, s.n), min(s.m, s.n)),
         formula=lambda s: _rectangle_formula(s.m, s.n),
@@ -347,8 +341,8 @@ FAMILIES = (
         TruncatedRectangle, "trunc:MxN:R",
         parse=lambda text: TruncatedRectangle(*_ints(text, "x", ":")),
         check=_check_truncated,
-        labels=lambda s: _truncated_box(s.m, s.n, s.r),
         size=lambda s: s.m * s.n - s.r * (s.r + 1) // 2,  # r <= min(m, n): every a + b <= r + 1 is cut
+        files=lambda s: [(a, max(1, s.r + 2 - a), s.n) for a in range(1, s.m + 1) if max(1, s.r + 2 - a) <= s.n],
         frame=lambda s: (s.m, s.n, s.r),
         count_spec=lambda s: TruncatedRectangle(max(s.m, s.n), min(s.m, s.n), s.r),
         formula=lambda s: _rectangle_formula(s.m, s.n) if s.r == 0 else None,
@@ -358,8 +352,8 @@ FAMILIES = (
         TypeARoot, "rootA:K",
         parse=lambda text: TypeARoot(*_ints(text)),
         check=_nonnegative("root triangle"),
-        labels=lambda s: _truncated_box(s.k + 1, s.k + 1, s.k + 1),
         size=lambda s: s.k * (s.k + 1) // 2,
+        files=lambda s: [(a, max(1, s.k + 3 - a), s.k + 1) for a in range(2, s.k + 2)],  # column 1 is empty
         frame=lambda s: (s.k + 1, s.k + 1, s.k + 1),
         series=lambda s: series.typeA_counts(s.k + 1),
     ),
@@ -367,24 +361,24 @@ FAMILIES = (
         TypeBMinuscule, "minB:N",
         parse=lambda text: TypeBMinuscule(*_ints(text)),
         check=_nonnegative("TypeBMinuscule"),
-        labels=lambda s: [(a, b) for a, b in _box(s.n, s.n) if a <= b],
         size=lambda s: s.n * (s.n + 1) // 2,
+        files=lambda s: [(a, a, s.n) for a in range(1, s.n + 1)],
         series=lambda s: series.b_minuscule_counts(s.n)[s.n],
     ),
     Family(
         TypeBRoot, "rootB:N",
         parse=lambda text: TypeBRoot(*_ints(text)),
         check=_nonnegative("TypeBRoot"),
-        labels=lambda s: [(a, b) for a, b in _truncated_box(2 * s.n, 2 * s.n, 2 * s.n) if a <= b],
         size=lambda s: s.n * s.n,
+        files=lambda s: [(a, max(a, 2 * s.n + 2 - a), 2 * s.n) for a in range(2, 2 * s.n + 1)],
         series=lambda s: series.b_root_counts(s.n),
     ),
     Family(
         OrdinalSumAntichains, "ordsum:2+3+1",
         parse=lambda text: OrdinalSumAntichains(_int(a) for a in text.split("+")),
         check=_check_ordinal_sum,
-        labels=lambda s: [(blk, pos) for blk, size in enumerate(s.sizes, 1) for pos in range(1, size + 1)],
         size=lambda s: sum(s.sizes),
+        labels=lambda s: [(blk, pos) for blk, size in enumerate(s.sizes, 1) for pos in range(1, size + 1)],
         upper_covers=_next_block,
         covers=lambda s: sum(map(mul, s.sizes, s.sizes[1:])),
         formula=lambda s: series.closed_form_count("ordinal_sum", s.sizes),
@@ -393,8 +387,8 @@ FAMILIES = (
         ChainProduct3, "cube:LxMxN",
         parse=lambda text: ChainProduct3(*_ints(text, "x", "x")),
         check=_nonnegative("chain product"),
-        labels=lambda s: _box(s.l, s.m, s.n),
         size=lambda s: s.l * s.m * s.n,
+        labels=lambda s: list(itertools.product(*(range(1, side + 1) for side in (s.l, s.m, s.n)))),
         count_spec=lambda s: ChainProduct3(*sorted((s.l, s.m, s.n), reverse=True)),
     ),
 )
@@ -768,14 +762,14 @@ class SubsetStats(_Value):
         "component_count",
         "incomparable_count",
         "minimal_in_subset",
-        "hits_all_files",  # bool, or None when the poset is not a chain product
+        "hits_all_files",  # bool, or None when the poset has no rectangle frame with r = 0
     )
 
 
 def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:
     """Statistics of a subset: size, cover-graph components, elements of the
-    poset comparable with no member, minimal elements contained, and (for
-    chain products) whether every value of the first coordinate is hit."""
+    poset comparable with no member, minimal elements contained, and (in a
+    rectangle frame with r = 0) whether every first coordinate is hit."""
     members = tuple(members)
     mask = poset.mask_of(members)
     cardinality = mask.bit_count()
@@ -798,8 +792,9 @@ def subset_stats(poset: FinitePoset, members: Iterable[int]) -> SubsetStats:
     minimal = (mask & poset.minimal_mask).bit_count()
 
     hits = None
-    if isinstance(poset.spec, ChainProduct):
+    frame = None if poset.spec is None else family_of(poset.spec).frame(poset.spec)
+    if frame is not None and frame[2] == 0:
         files = {poset.labels[i][0] for i in members}
-        hits = all(a in files for a in range(1, poset.spec.m + 1))
+        hits = all(a in files for a in range(1, frame[0] + 1))
 
     return SubsetStats(cardinality, components, incomparable, minimal, hits)

@@ -383,6 +383,44 @@ def test_classify_matches_path_geometry():
         assert geometric == cl.in_ics
 
 
+def _closure_classification(spec, labels):
+    """The four regions from the ideal and filter closures on the poset."""
+    poset = build_poset(spec)
+    members = poset.indices_of(labels)
+    delta = ideal_closure(poset, members)
+    nabla = filter_closure(poset, members)
+    rest = frozenset(range(poset.n)) - delta - nabla
+    return tuple(map(poset.labels_of, (members, delta - members, nabla - members, rest)))
+
+
+def _classification_cases():
+    # every ICS of six frames, empty ones included, then random ICS of the
+    # sweep ladder's frames
+    for spec in (
+        ChainProduct(4, 4),
+        TruncatedRectangle(5, 5, 2),
+        TruncatedRectangle(4, 6, 3),
+        TypeARoot(5),
+        TypeARoot(0),
+        ChainProduct(0, 3),
+    ):
+        poset = build_poset(spec)
+        for s in enumerate_ics(poset):
+            yield spec, poset.labels_of(s)
+    rng = random.Random("classification against the closures")
+    for frame in SWEEP_LADDER:
+        for _ in range(200):
+            yield _ladder_spec(frame), _random_ics(rng, frame)
+
+
+def test_classify_matches_the_closures():
+    # classify_elements reads its regions from the files and the column
+    # bounds T_a and L_a; the closures on the built poset are the reference
+    for spec, labels in _classification_cases():
+        cl = classify_elements(spec, labels)
+        assert (cl.in_ics, cl.below_only, cl.above_only, cl.incomparable) == _closure_classification(spec, labels)
+
+
 # ---------------------------------------------------------------------------
 # full ICS and the shift map
 
@@ -493,8 +531,8 @@ def test_shift_map_inverse_tests_the_interval_once(monkeypatch):
 
 
 def test_poset_caches_let_an_evicted_poset_go():
-    # _files keys on the poset, so its cache must not outlive build_poset's:
-    # after 16 other specs pass through both, the first poset is freed
+    # build_poset caches 16 posets, and the maps keep none of their own:
+    # after 16 other specs pass through the maps, the first poset is freed
     poset = build_poset(ChainProduct(3, 17))
     ics_to_motzkin(3, 17, [(1, 1)])
     freed = weakref.ref(poset)

@@ -449,6 +449,22 @@ def test_stats_output(capsys):
     }
 
 
+def test_stats_truncation_zero_reads_the_rectangle_on_every_ics(capsys):
+    # hits_all_files is decided by a rectangle frame with r = 0, not by the
+    # spec's class, so trunc:3x3:0 prints the bytes of rect:3x3
+    poset = posets.build_poset(ChainProduct(3, 3))
+    for s in posets.enumerate_ics(poset):
+        ics = cli.format_labels(poset.labels_of(s))
+        expected = run(capsys, "stats", "rect:3x3", ics, "--json")
+        assert expected[0] == 0 and "hits_all_files" in expected[1]
+        assert run(capsys, "stats", "trunc:3x3:0", ics, "--json") == expected
+    assert run(capsys, "stats", "trunc:2x2:0", "[[1,1]]", "--json") == (
+        0,
+        '{"cardinality": 1, "components": 1, "incomparable": 0, "minimal_in_subset": 1, "hits_all_files": false}\n',
+        "",
+    )
+
+
 def test_stats_rejects_unknown_elements(capsys):
     code, _, err = run(capsys, "stats", "rect:2x2", "[[9,9]]")
     assert code == 2 and "not in the poset" in err
@@ -586,6 +602,28 @@ def test_series_default_order_flag(capsys):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+@pytest.mark.parametrize(
+    "engine, record",
+    [
+        ("symmetric_typeA_counts", "type-A mirror counts vs oracle k<=5"),
+        ("typeA_F_coeffs", "F vs walk DP l<=12"),
+        ("walk_dp_coeffs", "F vs walk DP l<=12"),
+    ],
+)
+def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
+    # each of these engines is compared with another at the quick level
+    assert {r.name: r.passed for r in verify.run_checks("quick")}[record]
+    right = getattr(series, engine)
+
+    def wrong(*args):
+        # one more at every count: per length, a number or an endpoint table
+        return [{k: c + 1 for k, c in v.items()} if isinstance(v, dict) else v + 1 for v in right(*args)]
+
+    monkeypatch.setattr(series, engine, wrong)
+    failed = {r.name for r in verify.run_checks("quick") if not r.passed}
+    assert record in failed
 
 
 def test_verify_quick(capsys):

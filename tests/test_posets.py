@@ -678,6 +678,40 @@ def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
         assert [mask ^ 1 << i for i, mask in enumerate(masks)] == strict
 
 
+FILE_SPECS = [spec for spec in GRID_SPECS if family_of(spec).files(spec) is not None]
+# the label sets the files replaced: the box of the frame, filtered
+FILE_REFERENCE = {
+    ChainProduct: lambda s: [(a, b) for a in range(1, s.m + 1) for b in range(1, s.n + 1)],
+    TruncatedRectangle: lambda s: [
+        (a, b) for a in range(1, s.m + 1) for b in range(1, s.n + 1) if a + b - 2 >= s.r
+    ],
+    TypeARoot: lambda s: FILE_REFERENCE[TruncatedRectangle](TruncatedRectangle(s.k + 1, s.k + 1, s.k + 1)),
+    TypeBMinuscule: lambda s: [(a, b) for a, b in FILE_REFERENCE[ChainProduct](ChainProduct(s.n, s.n)) if a <= b],
+    TypeBRoot: lambda s: [
+        (a, b)
+        for a, b in FILE_REFERENCE[TruncatedRectangle](TruncatedRectangle(2 * s.n, 2 * s.n, 2 * s.n))
+        if a <= b
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", FILE_SPECS, ids=str)
+def test_files_describe_the_labels(spec):
+    family = family_of(spec)
+    files = family.files(spec)
+    assert [a for a, _, _ in files] == sorted({a for a, _, _ in files})
+    assert all(lo <= hi for _, lo, hi in files)
+    labels = family.labels(spec)
+    assert sorted(labels) == FILE_REFERENCE[type(spec)](spec)
+    assert family.size(spec) == len(labels) == sum(hi - lo + 1 for _, lo, hi in files)
+
+
+def test_only_the_pair_families_have_files():
+    assert {type(spec) for spec in FILE_SPECS} == set(FILE_REFERENCE)
+    for spec in (ChainProduct3(2, 2, 2), OrdinalSumAntichains((2, 1))):
+        assert family_of(spec).files(spec) is None
+
+
 @pytest.mark.parametrize("spec", GRID_SPECS + ORDINAL_SUM_SPECS, ids=str)
 def test_size_and_covers_are_read_off_the_spec(spec):
     family = family_of(spec)
