@@ -20,13 +20,13 @@ Letterwise recodings of the canonical pair give the two path images: each
 step's letter is read off the rises of B and of T at that step.
 
   (B rise, T rise):  (-1, +1) (+1, -1) (+1, +1) (-1, -1)
-  Motzkin               U        D        H1       H2     (rectangles, r = 0)
   walk                  NW       SE       E        W      (truncated rectangles)
+  Motzkin               U        D        H1       H2     (rectangles, r = 0)
 
-The Motzkin word's height after i steps is half the gap between T and B;
-the walk's position is (B height - r, half gap).  A walk image runs from
-(n - r, 0) to (m - r, 0) in m + n steps, so (m, n, r) can be recovered
-from a walk's frame via m = (l + s - h)/2, n = (l - s + h)/2,
+The walk's position is (B height - r, half gap); the Motzkin word is the
+walk image of r = 0 renamed, so its height is the walk's y.  A walk image
+runs from (n - r, 0) to (m - r, 0) in m + n steps, so (m, n, r) can be
+recovered from a walk's frame via m = (l + s - h)/2, n = (l - s + h)/2,
 r = (l - s - h)/2.
 
 The maps read labels as coordinates; the poset build_poset(spec) caches
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .paths import MotzkinWord, NestedPairBT, QuarterWalk, validate_nested_pair, validate_walk, validate_motzkin
+from .paths import MOTZKIN_AS_WALK, WALK_AS_MOTZKIN, WALK_MOVES, MotzkinWord, NestedPairBT, QuarterWalk
+from .paths import _shared_blocks, validate_motzkin, validate_nested_pair, validate_walk
 from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
     ChainProduct,
     NotIntervalClosed,
@@ -54,12 +55,12 @@ from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
 Label = tuple[int, int]
 
 
-# the image letter of a step of the canonical pair, by its (B rise, T rise),
-# and the rises of each letter
-_MOTZKIN_BY_RISES = {(-1, 1): "U", (1, -1): "D", (1, 1): "H1", (-1, -1): "H2"}
-_RISES_BY_MOTZKIN = {v: k for k, v in _MOTZKIN_BY_RISES.items()}
-_WALK_BY_RISES = {(-1, 1): "NW", (1, -1): "SE", (1, 1): "E", (-1, -1): "W"}
-_RISES_BY_WALK = {v: k for k, v in _WALK_BY_RISES.items()}
+# the (B rise, T rise) of each walk letter, a move (dx, dy) raising B by dx
+# and T by dx + 2 dy, and the walk letter of a step by its rises.  A Motzkin
+# word is the walk image renamed, U D H1 H2 for NW SE E W; paths reads it as
+# a walk from x = len(steps), which its one-unit x moves cannot take below 0.
+_RISES_BY_WALK = {s: (dx, dx + 2 * dy) for s, (dx, dy) in WALK_MOVES.items()}
+_WALK_BY_RISES = {v: k for k, v in _RISES_BY_WALK.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +93,16 @@ def _steps_from_heights(heights: list[int]) -> tuple[str, ...]:
     return tuple(["U" if b > a else "D" for a, b in zip(heights, heights[1:])])
 
 
-def _letters(by_rises: dict, bh: list[int], th: list[int]) -> list[str]:
-    """The image letter of each step of the pair with heights bh and th."""
-    return [by_rises[b1 - b0, t1 - t0] for b0, b1, t0, t1 in zip(bh, bh[1:], th, th[1:])]
+def _letters(bh: list[int], th: list[int]) -> list[str]:
+    """The walk letter of each step of the pair with heights bh and th."""
+    return [_WALK_BY_RISES[b1 - b0, t1 - t0] for b0, b1, t0, t1 in zip(bh, bh[1:], th, th[1:])]
 
 
-def _heights_from_letters(steps: Iterable[str], start: int, rises_by: dict) -> tuple[list[int], list[int]]:
-    """Heights of B and T, both starting at start, of the pair whose
-    letterwise image is steps."""
+def _heights_from_letters(steps: Iterable[str], start: int) -> tuple[list[int], list[int]]:
+    """Heights of B and T, both starting at start, of the pair whose walk
+    image is steps."""
     bh, th = [start], [start]
-    for db, dt in map(rises_by.__getitem__, steps):
+    for db, dt in map(_RISES_BY_WALK.__getitem__, steps):
         bh.append(bh[-1] + db)
         th.append(th[-1] + dt)
     return bh, th
@@ -110,20 +111,11 @@ def _heights_from_letters(steps: Iterable[str], start: int, rises_by: dict) -> t
 def _canonicalize_shared_blocks(bh: list[int], th: list[int]) -> None:
     """Rewrite every maximal block where the two paths coincide so that its
     U steps come first; both height lists are edited in place."""
-    ell = len(bh) - 1
-    i = 0
-    while i < ell:
-        if bh[i] == th[i] and bh[i + 1] == th[i + 1]:
-            j = i
-            while j < ell and bh[j + 1] == th[j + 1]:
-                j += 1
-            ups = (j - i + th[j] - th[i]) // 2
-            for k in range(i + 1, j):
-                h = th[i] + (k - i) if k - i <= ups else th[i] + 2 * ups - (k - i)
-                bh[k] = th[k] = h
-            i = j
-        else:
-            i += 1
+    for i, j in _shared_blocks(bh, th):
+        ups = (j - i + th[j] - th[i]) // 2
+        for k in range(i + 1, j):
+            h = th[i] + (k - i) if k - i <= ups else th[i] + 2 * ups - (k - i)
+            bh[k] = th[k] = h
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +184,14 @@ def nested_pair_to_motzkin(pair: NestedPairBT) -> MotzkinWord:
     problem = validate_nested_pair(pair)
     if problem is not None:
         raise ValueError(f"invalid nested pair: {problem}")
-    return MotzkinWord(_letters(_MOTZKIN_BY_RISES, pair.bottom_heights(), pair.top_heights()))
+    return MotzkinWord(map(WALK_AS_MOTZKIN.__getitem__, _letters(pair.bottom_heights(), pair.top_heights())))
 
 
 def motzkin_to_nested_pair(word: MotzkinWord) -> NestedPairBT:
     verdict = validate_motzkin(word)
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
-    bh, th = _heights_from_letters(word.steps, verdict.n, _RISES_BY_MOTZKIN)
+    bh, th = _heights_from_letters(map(MOTZKIN_AS_WALK.__getitem__, word.steps), verdict.n)
     return NestedPairBT(verdict.m, verdict.n, 0, _steps_from_heights(bh), _steps_from_heights(th))
 
 
@@ -209,7 +201,7 @@ def motzkin_to_nested_pair(word: MotzkinWord) -> NestedPairBT:
 
 def ics_to_motzkin(m: int, n: int, ics: Iterable[Label]) -> MotzkinWord:
     _, _, _, bh, th = _pair_heights(ChainProduct(m, n), ics)
-    return MotzkinWord(_letters(_MOTZKIN_BY_RISES, bh, th))
+    return MotzkinWord(map(WALK_AS_MOTZKIN.__getitem__, _letters(bh, th)))
 
 
 def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
@@ -219,7 +211,7 @@ def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
     m, n = verdict.m, verdict.n
-    bh, th = _heights_from_letters(word.steps, n, _RISES_BY_MOTZKIN)
+    bh, th = _heights_from_letters(map(MOTZKIN_AS_WALK.__getitem__, word.steps), n)
     return m, n, _cells_between(m, n, 0, bh, th)
 
 
@@ -229,7 +221,7 @@ def motzkin_to_ics(word: MotzkinWord) -> tuple[int, int, frozenset[Label]]:
 
 def ics_to_walk(spec: PosetSpec, ics: Iterable[Label]) -> QuarterWalk:
     _, n, r, bh, th = _pair_heights(spec, ics)
-    return QuarterWalk(n - r, _letters(_WALK_BY_RISES, bh, th))
+    return QuarterWalk(n - r, _letters(bh, th))
 
 
 def walk_frame(walk: QuarterWalk) -> tuple[int, int, int]:
@@ -251,7 +243,7 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
     """Invert the walk map.  Returns the poset spec (truncation normalized to
     r >= 0) together with the ICS."""
     m, n, r = walk_frame(walk)
-    bh, th = _heights_from_letters(walk.steps, n, _RISES_BY_WALK)
+    bh, th = _heights_from_letters(walk.steps, n)
     r_eff = max(r, 0)
     spec = ChainProduct(m, n) if r_eff == 0 else TruncatedRectangle(m, n, r_eff)
     return spec, _cells_between(m, n, r_eff, bh, th)

@@ -1,15 +1,18 @@
 """Lattice-path value types: bicolored Motzkin words, quarter-plane walks,
 nested path pairs, their validators, statistics, and brute-force enumerators.
 
-Bicolored Motzkin words use letters U=(1,1), D=(1,-1) and two horizontal
-colors H1, H2 (both (1,0)).  A word is valid when its height never drops
-below zero, ends at zero, and no H2 lying on the x-axis is immediately
-followed by an H1.  Its shape parameters are m = #U + #H1, n = #D + #H2.
-
 Quarter-plane walks start at (start_x, 0) and use steps E=(1,0), W=(-1,0),
 SE=(1,-1), NW=(-1,1).  A walk is valid when it stays in the quadrant
 x >= 0, y >= 0 and no W step taken on the x-axis is immediately followed
 by an E step.
+
+Bicolored Motzkin words use letters U, D and two horizontal colors H1, H2.
+A word is a walk in other letters, U D H1 H2 for NW SE E W, and its height
+is the walk's y.  Read from (len(steps), 0) the walk never reaches x < 0,
+as each step moves x by one, so only the height rules bind: a word is
+valid when its height never drops below zero, ends at zero, and no H2
+lying on the x-axis is immediately followed by an H1.  Its shape
+parameters are m = #U + #H1, n = #D + #H2.
 
 Nested pairs (B, T) are two paths over {U, D} read in a common frame: both
 run from (0, n) to (m+n, m), stay weakly above the line y = r, B stays
@@ -26,17 +29,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 MOTZKIN_ALPHABET = ("U", "D", "H1", "H2")
 WALK_ALPHABET = ("E", "W", "SE", "NW")
+# the move of each walk letter, and the walk letter of each Motzkin letter
 WALK_MOVES = {"E": (1, 0), "W": (-1, 0), "SE": (1, -1), "NW": (-1, 1)}
+MOTZKIN_AS_WALK = {"U": "NW", "D": "SE", "H1": "E", "H2": "W"}
+WALK_AS_MOTZKIN = {w: s for s, w in MOTZKIN_AS_WALK.items()}
 
 ENUMERATION_LENGTH_BOUND = 14
 
 
 class PathScaleExceeded(RuntimeError):
     """Raised when a path enumeration is asked to run above its length bound."""
+
+
+def _as_walk(steps: Sequence[str]) -> list[str]:
+    """The walk letters of Motzkin letters."""
+    for s in steps:
+        if s not in MOTZKIN_ALPHABET:
+            raise ValueError(f"unknown letter {s!r}")
+    return [MOTZKIN_AS_WALK[s] for s in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +91,7 @@ class MotzkinWord(_KeepsVerdict):
 
     def heights(self) -> list[int]:
         """Height after each step (length len(steps) + 1, starts at 0)."""
-        h = [0]
-        for s in self.steps:
-            h.append(h[-1] + (1 if s == "U" else -1 if s == "D" else 0))
-        return h
+        return [y for _, y in QuarterWalk(0, _as_walk(self.steps)).positions()]
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,8 @@ class QuarterWalk(_KeepsVerdict):
         """Visited points including the start (length len(steps) + 1)."""
         pos = [(self.start_x, 0)]
         for s in self.steps:
+            if s not in WALK_ALPHABET:
+                raise ValueError(f"unknown letter {s!r}")
             dx, dy = WALK_MOVES[s]
             x, y = pos[-1]
             pos.append((x + dx, y + dy))
@@ -171,6 +185,25 @@ class WalkVerdict:
 # Validation
 
 
+def _follow(start_x: int, steps: Sequence[str]) -> tuple[str | None, int, tuple[int, int]]:
+    """Read walk letters from (start_x, 0) up to the first rule they break:
+    that rule ("letter", "W then E" or "quadrant") or None, the number of
+    steps read and the point reached."""
+    x, y = start_x, 0
+    w_on_axis = False
+    for i, s in enumerate(steps, 1):
+        if s not in WALK_ALPHABET:
+            return "letter", i, (x, y)
+        if w_on_axis and s == "E":
+            return "W then E", i, (x, y)
+        dx, dy = WALK_MOVES[s]
+        x, y = x + dx, y + dy
+        if x < 0 or y < 0:
+            return "quadrant", i, (x, y)
+        w_on_axis = s == "W" and y == 0
+    return None, len(steps), (x, y)
+
+
 def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
     """Structured validity verdict; reports (m, n) when the word is valid.
     A MotzkinWord is checked on its first call only and keeps its verdict;
@@ -181,27 +214,19 @@ def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
 
 
 def _motzkin_verdict(steps: tuple[str, ...]) -> MotzkinVerdict:
-    for s in steps:
-        if s not in MOTZKIN_ALPHABET:
-            return MotzkinVerdict(False, violation=f"unknown letter {s!r}")
-    h = m = 0
-    for i, s in enumerate(steps):
-        if s == "U":
-            h += 1
-            m += 1
-        elif s == "D":
-            h -= 1
-            if h < 0:
-                return MotzkinVerdict(False, violation=f"height drops below 0 at step {i + 1}")
-        elif s == "H1":
-            m += 1
-        elif h == 0 and i + 1 < len(steps) and steps[i + 1] == "H1":
-            return MotzkinVerdict(
-                False, violation=f"H2 on the x-axis followed by H1 at step {i + 1}"
-            )
+    try:
+        walk = _as_walk(steps)  # every letter is checked before any rule
+    except ValueError as e:
+        return MotzkinVerdict(False, violation=str(e))
+    rule, i, (x, h) = _follow(len(walk), walk)
+    if rule == "W then E":
+        return MotzkinVerdict(False, violation=f"H2 on the x-axis followed by H1 at step {i - 1}")
+    if rule is not None:  # read from x = len(steps), x never binds
+        return MotzkinVerdict(False, violation=f"height drops below 0 at step {i}")
     if h != 0:
         return MotzkinVerdict(False, violation=f"final height {h} is not 0")
-    return MotzkinVerdict(True, m=m, n=len(steps) - m)
+    # from x = m + n the walk moves x by #H1 - #H2 = m - n, as #U = #D
+    return MotzkinVerdict(True, m=x // 2, n=len(walk) - x // 2)
 
 
 def validate_walk(walk: QuarterWalk) -> WalkVerdict:
@@ -213,23 +238,23 @@ def validate_walk(walk: QuarterWalk) -> WalkVerdict:
 def _walk_verdict(start_x: int, steps: tuple[str, ...]) -> WalkVerdict:
     if start_x < 0:
         return WalkVerdict(False, violation=f"start x {start_x} is negative")
-    x, y = start_x, 0
-    prev_w_on_axis = False
-    for i, s in enumerate(steps):
-        if s not in WALK_ALPHABET:
-            return WalkVerdict(False, violation=f"unknown letter {s!r}")
-        if s == "E" and prev_w_on_axis:
-            return WalkVerdict(
-                False, violation=f"W on the x-axis followed by E at step {i + 1}"
-            )
-        dx, dy = WALK_MOVES[s]
-        x, y = x + dx, y + dy
-        if x < 0 or y < 0:
-            return WalkVerdict(
-                False, violation=f"leaves the quadrant at step {i + 1} ({x}, {y})"
-            )
-        prev_w_on_axis = s == "W" and y == 0
+    rule, i, (x, y) = _follow(start_x, steps)
+    if rule == "letter":
+        return WalkVerdict(False, violation=f"unknown letter {steps[i - 1]!r}")
+    if rule == "W then E":
+        return WalkVerdict(False, violation=f"W on the x-axis followed by E at step {i}")
+    if rule is not None:
+        return WalkVerdict(False, violation=f"leaves the quadrant at step {i} ({x}, {y})")
     return WalkVerdict(True, endpoint=(x, y))
+
+
+def _shared_blocks(bh: Sequence[int], th: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(i, j) for each maximal block of steps i + 1..j over which the paths
+    with heights bh and th coincide; the caller may edit inside a block."""
+    for meet, run in groupby(range(len(bh)), lambda k: bh[k] == th[k]):
+        run = list(run)
+        if meet and len(run) > 1:
+            yield run[0], run[-1]
 
 
 def validate_nested_pair(pair: NestedPairBT) -> str | None:
@@ -248,18 +273,10 @@ def validate_nested_pair(pair: NestedPairBT) -> str | None:
         return f"B drops below the floor y = {pair.r}"
     if any(b > t for b, t in zip(bh, th)):
         return "B rises above T"
-    i = 0
-    while i < ell:
-        if bh[i] == th[i] and bh[i + 1] == th[i + 1]:
-            j = i
-            while j < ell and bh[j + 1] == th[j + 1]:
-                j += 1
-            block = pair.bottom[i:j]
-            if "D" in block and "U" in block[block.index("D"):]:
-                return f"shared block at steps {i + 1}..{j} is not U-steps-first"
-            i = j
-        else:
-            i += 1
+    for i, j in _shared_blocks(bh, th):
+        block = pair.bottom[i:j]
+        if "D" in block and "U" in block[block.index("D"):]:
+            return f"shared block at steps {i + 1}..{j} is not U-steps-first"
     return None
 
 
@@ -275,31 +292,19 @@ def motzkin_stats(word: MotzkinWord | Iterable[str]) -> MotzkinStats:
     verdict = validate_motzkin(word)
     if not verdict.valid:
         raise ValueError(f"invalid bicolored Motzkin word: {verdict.violation}")
-    area = 0
-    returns = 0
-    run_product_sum = 0
-    h = 0
-    run_h1 = run_h2 = 0
-    in_run = False
-    for s in word.steps:
-        if h == 0 and s in ("H1", "H2"):
-            in_run = True
-            if s == "H1":
-                run_h1 += 1
-            else:
-                run_h2 += 1
+    walk = _as_walk(word.steps)
+    # the area is the walk's height sum, and the returns are its SE returns
+    sums = _walk_stats(len(walk), walk)
+    run_product_sum = run_h1 = run_h2 = h = 0
+    for s in walk:
+        if h == 0 and s in ("E", "W"):  # an H1 or an H2 on the axis
+            run_h1 += s == "E"
+            run_h2 += s == "W"
         else:
-            if in_run:
-                run_product_sum += run_h1 * run_h2
-                run_h1 = run_h2 = 0
-                in_run = False
-            h += 1 if s == "U" else -1 if s == "D" else 0
-            if s == "D" and h == 0:
-                returns += 1
-        area += h
-    if in_run:
-        run_product_sum += run_h1 * run_h2
-    return MotzkinStats(area, returns, run_product_sum)
+            run_product_sum += run_h1 * run_h2
+            run_h1 = run_h2 = 0
+            h += WALK_MOVES[s][1]
+    return MotzkinStats(sums.height_sum, sums.x_axis_returns, run_product_sum + run_h1 * run_h2)
 
 
 def motzkin_area_by_trapezoids(word: MotzkinWord) -> int:
@@ -318,9 +323,12 @@ def walk_stats(walk: QuarterWalk) -> WalkStats:
     verdict = validate_walk(walk)
     if not verdict.valid:
         raise ValueError(f"invalid quarter-plane walk: {verdict.violation}")
-    x, y = walk.start_x, 0
-    height_sum = x_returns = y_returns = 0
-    for s in walk.steps:
+    return _walk_stats(walk.start_x, walk.steps)
+
+
+def _walk_stats(x: int, steps: Sequence[str]) -> WalkStats:
+    y = height_sum = x_returns = y_returns = 0
+    for s in steps:
         dx, dy = WALK_MOVES[s]
         x += dx
         y += dy
@@ -329,7 +337,7 @@ def walk_stats(walk: QuarterWalk) -> WalkStats:
             x_returns += 1
         if x == 0:  # only W and NW steps reach the y-axis
             y_returns += 1
-    if x == 0 and walk.steps:  # the final step is not counted
+    if x == 0 and steps:  # the final step is not counted
         y_returns -= 1
     return WalkStats(height_sum, x_returns, y_returns)
 
@@ -340,68 +348,38 @@ def walk_stats(walk: QuarterWalk) -> WalkStats:
 
 def enumerate_motzkin(m: int, n: int) -> list[MotzkinWord]:
     """All valid words with parameters (m, n) in lexicographic order under
-    U < D < H1 < H2."""
-    if m < 0 or n < 0:
-        raise ValueError("parameters must be non-negative")
-    if m + n > ENUMERATION_LENGTH_BOUND:
-        raise PathScaleExceeded(
-            f"enumeration bound exceeded: length {m + n} > {ENUMERATION_LENGTH_BOUND}"
-        )
-    out: list[MotzkinWord] = []
-    steps: list[str] = []
-
-    def rec(left_m: int, left_n: int, h: int, prev_h2_on_axis: bool) -> None:
-        if left_m == 0 and left_n == 0:
-            if h == 0:
-                out.append(MotzkinWord(steps))
-            return
-        if h > left_n:  # not enough D budget left to come back down
-            return
-        for s in MOTZKIN_ALPHABET:
-            if s in ("U", "H1"):
-                if left_m == 0:
-                    continue
-            else:
-                if left_n == 0:
-                    continue
-            if s == "D" and h == 0:
-                continue
-            if s == "H1" and prev_h2_on_axis:
-                continue
-            steps.append(s)
-            rec(
-                left_m - (s in ("U", "H1")),
-                left_n - (s in ("D", "H2")),
-                h + (1 if s == "U" else -1 if s == "D" else 0),
-                s == "H2" and h == 0,
-            )
-            steps.pop()
-
-    rec(m, n, 0, False)
-    return out
+    U < D < H1 < H2: the walks from (n, 0) to (m, 0) in m + n steps under
+    NW < SE < E < W, renamed."""
+    walks = _walk_search(n, m, m + n, _as_walk(MOTZKIN_ALPHABET))
+    return [MotzkinWord(WALK_AS_MOTZKIN[s] for s in steps) for steps in walks]
 
 
 def enumerate_walks(h: int, s: int, length: int) -> list[QuarterWalk]:
     """All valid walks of the given length from (h, 0) to (s, 0), in
     lexicographic order under E < W < SE < NW."""
+    return [QuarterWalk(h, steps) for steps in _walk_search(h, s, length, WALK_ALPHABET)]
+
+
+def _walk_search(h: int, s: int, length: int, order: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The letters of every valid walk of the given length from (h, 0) to
+    (s, 0), in lexicographic order under the letter order given."""
     if h < 0 or s < 0 or length < 0:
         raise ValueError("parameters must be non-negative")
     if length > ENUMERATION_LENGTH_BOUND:
         raise PathScaleExceeded(
             f"enumeration bound exceeded: length {length} > {ENUMERATION_LENGTH_BOUND}"
         )
-    out: list[QuarterWalk] = []
     steps: list[str] = []
 
-    def rec(x: int, y: int, left: int, prev_w_on_axis: bool) -> None:
+    def rec(x: int, y: int, left: int, prev_w_on_axis: bool) -> Iterator[tuple[str, ...]]:
         # every step moves x by 1, so left and s - x must agree in parity;
         # reaching (s, 0) needs y net SE steps plus |s - x - y| free moves
         if y + abs(s - x - y) > left or (left - (s - x)) % 2:
             return
         if left == 0:
-            out.append(QuarterWalk(h, steps))
+            yield tuple(steps)
             return
-        for step in WALK_ALPHABET:
+        for step in order:
             if step == "E" and prev_w_on_axis:
                 continue
             dx, dy = WALK_MOVES[step]
@@ -409,11 +387,10 @@ def enumerate_walks(h: int, s: int, length: int) -> list[QuarterWalk]:
             if nx < 0 or ny < 0:
                 continue
             steps.append(step)
-            rec(nx, ny, left - 1, step == "W" and ny == 0)
+            yield from rec(nx, ny, left - 1, step == "W" and ny == 0)
             steps.pop()
 
-    rec(h, 0, length, False)
-    return out
+    return rec(h, 0, length, False)
 
 
 # ---------------------------------------------------------------------------

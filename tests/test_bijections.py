@@ -675,6 +675,7 @@ BAD_WALKS = [
     ((2, ["W", "X"]), "unknown letter 'X'"),
     ((1, ["W", "E"]), "W on the x-axis followed by E at step 2"),
     ((0, ["SE"]), "leaves the quadrant at step 1 (1, -1)"),
+    ((0, ["SE", "X"]), "leaves the quadrant at step 1 (1, -1)"),  # the rules in step order
 ]
 BAD_PAIRS = [
     ((2, 2, 0, "UDUD", "UDUD"), "shared block at steps 1..4 is not U-steps-first"),

@@ -610,6 +610,7 @@ def test_series_default_order_flag(capsys):
         ("symmetric_typeA_counts", "type-A mirror counts vs oracle k<=5"),
         ("typeA_F_coeffs", "F vs walk DP l<=12"),
         ("walk_dp_coeffs", "F vs walk DP l<=12"),
+        ("walk_dp_counts", "engine equivalence m+n<=5"),
     ],
 )
 def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
@@ -618,8 +619,12 @@ def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
     right = getattr(series, engine)
 
     def wrong(*args):
-        # one more at every count: per length, a number or an endpoint table
-        return [{k: c + 1 for k, c in v.items()} if isinstance(v, dict) else v + 1 for v in right(*args)]
+        # one more at every count: a table by (h, s, length), or per length
+        # a number or an endpoint table
+        counts = right(*args)
+        if isinstance(counts, dict):
+            return {k: c + 1 for k, c in counts.items()}
+        return [{k: c + 1 for k, c in v.items()} if isinstance(v, dict) else v + 1 for v in counts]
 
     monkeypatch.setattr(series, engine, wrong)
     failed = {r.name for r in verify.run_checks("quick") if not r.passed}

@@ -125,6 +125,43 @@ def test_validity_matches_enumeration(steps):
 
 
 # ---------------------------------------------------------------------------
+# a Motzkin word is a quarter-plane walk in other letters
+
+RENAMED = {"U": "NW", "D": "SE", "H1": "E", "H2": "W"}
+
+
+def test_a_motzkin_word_is_a_walk_renamed():
+    # from (n, 0) to (m, 0) in m + n steps, in the order U < D < H1 < H2
+    # renamed, with area and returns read as height sum and SE returns
+    rank = {RENAMED[s]: i for i, s in enumerate(("U", "D", "H1", "H2"))}
+    for m in range(11):
+        for n in range(11 - m):
+            words = enumerate_motzkin(m, n)
+            renamed = [tuple(RENAMED[s] for s in word.steps) for word in words]
+            walks = [w.steps for w in enumerate_walks(n, m, m + n)]
+            assert renamed == sorted(walks, key=lambda ss: [rank[s] for s in ss])
+            for word, steps in zip(words, renamed):
+                ms, ws = motzkin_stats(word), walk_stats(QuarterWalk(n, steps))
+                assert (ms.area, ms.returns) == (ws.height_sum, ws.x_axis_returns)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: QuarterWalk(0, ["X"]).endpoint,
+        lambda: QuarterWalk(1, ["NW", "X"]).positions(),
+        lambda: MotzkinWord(["U", "X", "D"]).heights(),
+        lambda: MotzkinWord(["H1", "X"]).heights(),
+    ],
+    ids=["walk endpoint", "walk positions", "word heights", "word heights, last letter"],
+)
+def test_path_values_reject_unknown_letters(read):
+    with pytest.raises(ValueError) as exc:
+        read()
+    assert str(exc.value) == "unknown letter 'X'"
+
+
+# ---------------------------------------------------------------------------
 # quarter-plane walks
 
 
