@@ -15,8 +15,8 @@ ICS inputs are JSON arrays of 1-based coordinate tuples, e.g.
 string or '[]' is the empty set).  Path text encodings follow the paths
 module: Motzkin tokens 'U D 1 2', walk tokens 'e w se nw'.
 
-Exit codes: 0 success, 2 parse/validation error, 3 scale or budget
-exceeded, 4 verification failure.
+Exit codes: 0 success, 1 output pipe closed by its reader, 2
+parse/validation error, 3 scale or budget exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -24,16 +24,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import posets, series
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
 EXIT_VERIFY = 4
 
 DEFAULT_SERIES_ORDER = 10
+# sets that enumerate prints, at about 23 us each on a 2-vCPU VM: about 5 s
+ENUMERATE_SET_BOUND = 200_000
 
 # every bound on a poset's size or an engine's work; each exits 3
 SCALE_ERRORS = (posets.OracleScaleExceeded, posets.PosetScaleExceeded, series.SeriesBudgetExceeded)
@@ -160,6 +164,13 @@ def cmd_enumerate(args) -> int:
     spec = parse_poset_spec(args.spec)
     posets.check_oracle_scale(posets.family_of(spec).size(spec))  # before building
     poset = posets.build_poset(spec)
+    sets = posets.count_ics(poset)  # at most about 13 ms within the element bound
+    if args.limit is not None:
+        sets = min(sets, args.limit)
+    if sets > ENUMERATE_SET_BOUND:
+        raise posets.OracleScaleExceeded(
+            f"oracle scale exceeded: {sets} sets > bound {ENUMERATE_SET_BOUND}"
+        )
     stream = (
         label_rows(poset.labels_of(s))
         for s in posets.enumerate_ics(poset, limit=args.limit)
@@ -403,7 +414,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`icsets enumerate ... | head`): send what
+        # is still buffered to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,9 +2,9 @@
 integer recurrences in icsets.series.
 
 TruncatedSeries is a multivariate power series with Fraction coefficients,
-truncated per variable, with Newton iteration for inverses and square
-roots.  The *_series functions below evaluate the paper's closed forms
-with it term by term; the *_counts functions of icsets.series read the
+truncated per variable, with Newton iteration for inverses and inverse
+square roots.  The *_series functions below evaluate the paper's closed
+forms with it term by term; the *_counts functions of icsets.series read the
 same coefficients off integer recurrences, and the tests and
 `icsets verify` compare the two.  No command other than `verify` imports
 this module, and it is the only one that uses rational arithmetic.
@@ -141,16 +141,17 @@ class TruncatedSeries:
         return self * other.inverse()
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root by Newton iteration S <- (S + A/S)/2; needs constant
-        term 1, iterated to the truncation-order fixpoint."""
+        """Square root AR, where R = A^(-1/2) comes from Newton iteration
+        R <- R(3 - AR^2)/2 from R = 1: three products a step and no inverse.
+        Needs constant term 1; iterated to the truncation-order fixpoint."""
         if self[(0,) * len(self.variables)] != 1:
             raise ValueError("series square root needs constant term 1")
-        s = TruncatedSeries.constant(self.variables, self.trunc, 1)
+        r = TruncatedSeries.constant(self.variables, self.trunc, 1)
         while True:
-            nxt = (s + self * s.inverse()) * Fraction(1, 2)
-            if nxt == s:
-                return s
-            s = nxt
+            nxt = r * (3 - self * (r * r)) * Fraction(1, 2)
+            if nxt == r:
+                return self * r
+            r = nxt
 
     def shift_down(self, **monomial: int) -> "TruncatedSeries":
         """Exact division by a monomial, e.g. shift_down(x=1, y=1) divides

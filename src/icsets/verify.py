@@ -1,19 +1,20 @@
 """One-shot verification suite: recomputes every reference number at desk
 scale and reports a pass/fail record per check.
 
-Levels: "quick" runs 19 checks in about 0.7 s (among them the engine
+Levels: "quick" runs 23 checks in about 0.4 s (among them the engine
 equivalence of the truncated-rectangle table, the walk dynamic program and
-the oracle to m + n <= 5); "full" adds the larger brute-force sweeps
-(oracle counts of every rectangle with m + n <= 11 and of the type-A
-triangles to n = 20; three-chain tables, round-trip and engine-equivalence
-sweeps to m + n <= 8, mirror counts to B-minuscule n = 9 and B-root n = 6)
-and a deeper comparison of the integer recurrences with the literal closed
-forms of icsets.reference, and takes about 7.5 s on a 2-vCPU VM with Python
-3.11.7 (most of it in the reference engine; the oracle sweeps take about
-1 s).  Each record carries a source tag: paper-sequence / paper-table for published
-numbers, closed-form for formula cross-checks, oracle for brute-force
-agreement.  Sets in a record are sorted lists, so its text does not depend
-on how a set was built.
+the oracle to m + n <= 5, and round-trip and shift-map sweeps to m + n <= 4);
+"full" runs 24 with the larger brute-force sweeps (oracle counts of every
+rectangle with m + n <= 11 and of the type-A triangles to n = 20; three-chain
+tables, round-trip and engine-equivalence sweeps to m + n <= 8, mirror counts
+to B-minuscule n = 9 and B-root n = 6) and a deeper comparison of the integer
+recurrences with the literal closed forms of icsets.reference, and takes
+about 3.3 s on a 2-vCPU VM with Python 3.11.7 (the reference engine and the
+walk round trips take about 1 s each).  Each record carries a source tag:
+paper-sequence / paper-table for published numbers, closed-form for formula
+cross-checks, oracle for brute-force agreement.  Sets in a record are sorted
+lists, so its text does not depend on how a set was built.  The records are
+the rows of one table, CHECKS.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ TRUNCATED_EXAMPLE_ICS = frozenset(
 TRUNCATED_EXAMPLE_WALK = "nw w nw w se e nw se se"
 TRUNCATED_EXAMPLE_STATS = (11, 1, 1)
 
+# Block sizes of the ordinal sums whose formula count is checked.
+ORDINAL_SUM_BLOCKS = [(1,), (4,), (1, 1), (2, 3), (3, 1, 2), (1, 1, 1, 1), (2, 5, 1, 3), (4, 4, 4)]
+
 # Coefficients of z^0, z^1, z^2 in the printed truncated series head.
 TRUNCATED_SERIES_HEAD = [
     {(0, 0): 1},
@@ -93,6 +97,26 @@ def _mirror_count(square) -> int:
     return posets.enumerate_symmetric_ics(posets.build_poset(square), posets.vertical_involution(square))
 
 
+def _motzkin_triple(word) -> tuple[int, int, int]:
+    # the word's statistics in the order of the ICS's (cardinality, components, incomparable pairs)
+    st = paths.motzkin_stats(word)
+    return st.area, st.returns, st.axis_run_product_sum
+
+
+def _walk_triple(walk) -> tuple[int, int, int]:
+    # the walk's statistics in the order of the ICS's (cardinality, components, minimal members)
+    st = paths.walk_stats(walk)
+    return st.height_sum, st.x_axis_returns, st.y_axis_returns_excl_last
+
+
+def _truncated_frames(total: int):
+    # every truncated rectangle frame (m, n, r) with m + n <= total
+    for m in range(total + 1):
+        for n in range(total + 1 - m):
+            for r in range(min(m, n) + 1):
+                yield m, n, r
+
+
 def _check_type_a_sequence():
     return TYPE_A_SEQUENCE, [series.typeA_counts(n) for n in range(1, 11)]
 
@@ -116,7 +140,7 @@ def _check_rectangle_closed_forms():
     return expected, actual
 
 
-def _rectangle_oracle(limit: int):
+def _check_rectangle_oracle(limit: int):
     expected, actual = [], []
     counts = series.rectangle_counts(limit, limit)
     for m in range(limit + 1):
@@ -132,82 +156,68 @@ def _check_type_a_oracle(top: int):
     return expected, actual
 
 
-def _check_b_oracle(cases):
-    # (half spec, square spec, series value): the half counted directly and
-    # the square's mirror-symmetric ICS counted, against the series
+# each B family's half, and the square whose mirror-symmetric ICS it counts
+_B_SQUARES = {
+    posets.TypeBMinuscule: lambda n: posets.ChainProduct(n, n),
+    posets.TypeBRoot: lambda n: posets.TypeARoot(2 * n - 1),
+}
+
+
+def _check_b_oracle(half_class, top: int):
+    # each half counted directly and its square's mirror-symmetric ICS
+    # counted, against the family's series engine
     expected, actual = [], []
-    for half, square, value in cases:
-        expected.extend([_oracle_count(half), _mirror_count(square)])
-        actual.extend([value] * 2)
+    for n in range(1, top + 1):
+        half = half_class(n)
+        expected.extend([_oracle_count(half), _mirror_count(_B_SQUARES[half_class](n))])
+        actual.extend([posets.family_of(half).series(half)] * 2)
     return expected, actual
 
 
 def _check_narayana(total: int):
+    # one pass over the ICS of each rectangle counts the full ones and, below
+    # the largest size, the ones that hit every file
     expected, actual = [], []
     for m in range(1, total):
         for n in range(1, total + 1 - m):
             poset = posets.build_poset(posets.ChainProduct(m, n))
-            fulls = sum(
-                1
-                for s in posets.enumerate_ics(poset)
-                if bijections.is_full_ics(m, n, poset.labels_of(s))
-            )
+            fulls = hitting = 0
+            for s in posets.enumerate_ics(poset):
+                fulls += bijections.is_full_ics(m, n, poset.labels_of(s))
+                hitting += m + n < total and posets.subset_stats(poset, s).hits_all_files
             expected.extend([fulls, fulls])
             actual.extend([series.full_count(m, n), series.narayana(m + n - 1, n)])
-            if m + n <= total - 1:
-                hitting = sum(
-                    1
-                    for s in posets.enumerate_ics(poset)
-                    if posets.subset_stats(poset, s).hits_all_files
-                )
+            if m + n < total:
                 expected.append(hitting)
                 actual.append(series.narayana(m + n, n))
     return expected, actual
 
 
+def _check_ordinal_sum_formula():
+    expected = [_oracle_count(posets.OrdinalSumAntichains(sizes)) for sizes in ORDINAL_SUM_BLOCKS]
+    actual = [series.closed_form_count("ordinal_sum", sizes) for sizes in ORDINAL_SUM_BLOCKS]
+    return expected, actual
+
+
 def _check_rect_example():
     word = bijections.ics_to_motzkin(13, 14, RECT_EXAMPLE_ICS)
-    stats = paths.motzkin_stats(word)
     _, _, back = bijections.motzkin_to_ics(word)
     expected = (RECT_EXAMPLE_WORD, RECT_EXAMPLE_STATS, sorted(RECT_EXAMPLE_ICS))
-    actual = (
-        paths.motzkin_to_text(word),
-        (stats.area, stats.returns, stats.axis_run_product_sum),
-        sorted(back),
-    )
-    return expected, actual
+    return expected, (paths.motzkin_to_text(word), _motzkin_triple(word), sorted(back))
 
 
 def _check_type_a_example():
     walk = bijections.ics_to_walk(posets.TypeARoot(5), TYPE_A_EXAMPLE_ICS)
-    stats = paths.walk_stats(walk)
     _, back = bijections.walk_to_ics(walk)
     expected = (TYPE_A_EXAMPLE_WALK, TYPE_A_EXAMPLE_STATS, sorted(TYPE_A_EXAMPLE_ICS))
-    actual = (
-        paths.walk_to_text(walk),
-        (stats.height_sum, stats.x_axis_returns, stats.y_axis_returns_excl_last),
-        sorted(back),
-    )
-    return expected, actual
+    return expected, (paths.walk_to_text(walk), _walk_triple(walk), sorted(back))
 
 
 def _check_truncated_example():
-    spec = posets.TruncatedRectangle(4, 5, 1)
-    walk = bijections.ics_to_walk(spec, TRUNCATED_EXAMPLE_ICS)
-    stats = paths.walk_stats(walk)
+    walk = bijections.ics_to_walk(posets.TruncatedRectangle(4, 5, 1), TRUNCATED_EXAMPLE_ICS)
     _, back = bijections.walk_to_ics(walk)
-    expected = (
-        TRUNCATED_EXAMPLE_WALK,
-        (4, 0),
-        TRUNCATED_EXAMPLE_STATS,
-        sorted(TRUNCATED_EXAMPLE_ICS),
-    )
-    actual = (
-        paths.walk_to_text(walk),
-        (walk.start_x, walk.endpoint[1]),
-        (stats.height_sum, stats.x_axis_returns, stats.y_axis_returns_excl_last),
-        sorted(back),
-    )
+    expected = (TRUNCATED_EXAMPLE_WALK, (4, 0), TRUNCATED_EXAMPLE_STATS, sorted(TRUNCATED_EXAMPLE_ICS))
+    actual = (paths.walk_to_text(walk), (walk.start_x, walk.endpoint[1]), _walk_triple(walk), sorted(back))
     return expected, actual
 
 
@@ -218,7 +228,8 @@ def _check_truncated_series():
     return expected, actual
 
 
-def _check_three_chain(keys):
+def _check_three_chain(entries: int):
+    keys = sorted(THREE_CHAIN_TABLE)[:entries]
     expected = [THREE_CHAIN_TABLE[k] for k in keys]
     actual = [_oracle_count(posets.ChainProduct3(*k)) for k in keys]
     return expected, actual
@@ -236,23 +247,18 @@ def _check_motzkin_roundtrips(top: int):
                     bad.append((m, n, labels))
                     continue
                 st = posets.subset_stats(poset, s)
-                ms = paths.motzkin_stats(word)
-                if (st.cardinality, st.component_count, st.incomparable_count) != (
-                    ms.area,
-                    ms.returns,
-                    ms.axis_run_product_sum,
-                ):
+                if (st.cardinality, st.component_count, st.incomparable_count) != _motzkin_triple(word):
                     bad.append((m, n, labels))
     return [], bad
 
 
 def _walk_specs(total: int):
-    for k in range(6):
+    # the root triangles grow with total (rootA:0..5 at total 8), so that a
+    # small sweep stays small
+    for k in range(total - 2):
         yield posets.TypeARoot(k)
-    for m in range(total + 1):
-        for n in range(total + 1 - m):
-            for r in range(min(m, n) + 1):
-                yield posets.TruncatedRectangle(m, n, r)
+    for frame in _truncated_frames(total):
+        yield posets.TruncatedRectangle(*frame)
 
 
 def _check_walk_roundtrips(total: int):
@@ -266,12 +272,7 @@ def _check_walk_roundtrips(total: int):
                 bad.append((spec, labels))
                 continue
             st = posets.subset_stats(poset, s)
-            ws = paths.walk_stats(walk)
-            if (st.cardinality, st.component_count, st.minimal_in_subset) != (
-                ws.height_sum,
-                ws.x_axis_returns,
-                ws.y_axis_returns_excl_last,
-            ):
+            if (st.cardinality, st.component_count, st.minimal_in_subset) != _walk_triple(walk):
                 bad.append((spec, labels))
     return [], bad
 
@@ -280,16 +281,14 @@ def _check_engine_equivalence(total: int):
     bad = []
     table = series.truncated_counts(total, total, total)
     dp = series.walk_dp_counts(total, total, total)
-    for m in range(total + 1):
-        for n in range(total + 1 - m):
-            for r in range(min(m, n) + 1):
-                values = {
-                    table[(m, n, r)],
-                    dp[(n - r, m - r, m + n)],
-                    _oracle_count(posets.TruncatedRectangle(m, n, r)),
-                }
-                if len(values) != 1:
-                    bad.append(((m, n, r), sorted(values)))
+    for m, n, r in _truncated_frames(total):
+        values = {
+            table[(m, n, r)],
+            dp[(n - r, m - r, m + n)],
+            _oracle_count(posets.TruncatedRectangle(m, n, r)),
+        }
+        if len(values) != 1:
+            bad.append(((m, n, r), sorted(values)))
     return [], bad
 
 
@@ -321,9 +320,10 @@ def _check_shift_map(total: int):
                 if not posets.subset_stats(poset, s).hits_all_files:
                     continue
                 image = bijections.shift_map(m, n, labels)
-                if bijections.shift_map_inverse(m + 1, n, image) != labels:
-                    bad.append((m, n, labels, "round trip"))
                 images.add(image)
+                # the inverse takes only full ICS; an image outside them is an image mismatch
+                if image in fulls and bijections.shift_map_inverse(m + 1, n, image) != labels:
+                    bad.append((m, n, labels, "round trip"))
             if images != fulls:
                 bad.append((m, n, "image mismatch"))
     return [], bad
@@ -368,74 +368,50 @@ def _check_recurrence_properties():
     return expected, actual
 
 
+# One row per record: (name, source, check, quick arguments, full arguments).
+# The arguments of the level go in for {} in the name; a row whose quick
+# arguments are None runs only at full.
+CHECKS = [
+    ("type-A sequence n=1..10", "paper-sequence", _check_type_a_sequence, (), ()),
+    ("B-minuscule sequence n=1..10", "paper-sequence", _check_b_minuscule_sequence, (), ()),
+    ("B-root sequence n=1..9", "paper-sequence", _check_b_root_sequence, (), ()),
+    ("rectangle closed forms n<=6", "closed-form", _check_rectangle_closed_forms, (), ()),
+    ("rectangle series vs oracle m+n<={}", "oracle", _check_rectangle_oracle, (7,), (11,)),
+    ("type-A counts vs oracle", "oracle", _check_type_a_oracle, (5,), (20,)),
+    ("B-minuscule counts vs oracle", "oracle", _check_b_oracle, (posets.TypeBMinuscule, 5), (posets.TypeBMinuscule, 9)),
+    ("B-root counts vs oracle", "oracle", _check_b_oracle, (posets.TypeBRoot, 3), (posets.TypeBRoot, 6)),
+    ("type-A mirror counts vs oracle k<={}", "oracle", _check_type_a_mirrors, (5,), (5,)),
+    ("ordinal-sum formula vs oracle", "oracle", _check_ordinal_sum_formula, (), ()),
+    ("Narayana full/file counts", "oracle", _check_narayana, (6,), (8,)),
+    ("rectangle worked example", "paper-table", _check_rect_example, (), ()),
+    ("type-A worked example", "paper-table", _check_type_a_example, (), ()),
+    ("truncated worked example", "paper-table", _check_truncated_example, (), ()),
+    ("truncated series head", "paper-table", _check_truncated_series, (), ()),
+    ("three-chain table small", "paper-table", _check_three_chain, (2,), (2,)),
+    ("recurrence properties to z^40", "closed-form", _check_recurrence_properties, (), ()),
+    ("F vs walk DP l<={}", "closed-form", _check_f_vs_walk_dp, (12,), (12,)),
+    ("integer recurrences vs Fraction closed forms m,n<={}, order<={}", "closed-form", _check_integer_recurrences, (6, 20), (10, 40)),
+    ("three-chain table full", "paper-table", _check_three_chain, None, (len(THREE_CHAIN_TABLE),)),
+    ("Motzkin round trips m,n<={}", "oracle", _check_motzkin_roundtrips, (2,), (4,)),
+    ("walk round trips m+n<={}", "oracle", _check_walk_roundtrips, (4,), (8,)),
+    ("engine equivalence m+n<={}", "oracle", _check_engine_equivalence, (5,), (8,)),
+    ("shift map bijection m+n<={}", "oracle", _check_shift_map, (4,), (7,)),
+]
+
+
 def run_checks(level: str = "quick") -> list[CheckRecord]:
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verification level {level!r}")
-    full = level == "full"
-    checks = [
-        ("type-A sequence n=1..10", "paper-sequence", _check_type_a_sequence),
-        ("B-minuscule sequence n=1..10", "paper-sequence", _check_b_minuscule_sequence),
-        ("B-root sequence n=1..9", "paper-sequence", _check_b_root_sequence),
-        ("rectangle closed forms n<=6", "closed-form", _check_rectangle_closed_forms),
-        (
-            "rectangle series vs oracle" + (" m+n<=11" if full else " m+n<=7"),
-            "oracle",
-            lambda: _rectangle_oracle(11 if full else 7),
-        ),
-        ("type-A counts vs oracle", "oracle", lambda: _check_type_a_oracle(20 if full else 5)),
-        (
-            "B-minuscule counts vs oracle",
-            "oracle",
-            lambda: _check_b_oracle(
-                (posets.TypeBMinuscule(n), posets.ChainProduct(n, n), series.b_minuscule_counts(n)[n])
-                for n in range(1, (9 if full else 5) + 1)
-            ),
-        ),
-        (
-            "B-root counts vs oracle",
-            "oracle",
-            lambda: _check_b_oracle(
-                (posets.TypeBRoot(n), posets.TypeARoot(2 * n - 1), series.b_root_counts(n))
-                for n in range(1, (6 if full else 3) + 1)
-            ),
-        ),
-        ("type-A mirror counts vs oracle k<=5", "oracle", lambda: _check_type_a_mirrors(5)),
-        ("Narayana full/file counts", "oracle", lambda: _check_narayana(8 if full else 6)),
-        ("rectangle worked example", "paper-table", _check_rect_example),
-        ("type-A worked example", "paper-table", _check_type_a_example),
-        ("truncated worked example", "paper-table", _check_truncated_example),
-        ("truncated series head", "paper-table", _check_truncated_series),
-        ("three-chain table small", "paper-table", lambda: _check_three_chain([(2, 2, 2), (2, 2, 3)])),
-        ("recurrence properties to z^40", "closed-form", _check_recurrence_properties),
-        ("F vs walk DP l<=12", "closed-form", lambda: _check_f_vs_walk_dp(12)),
-        (
-            "integer recurrences vs Fraction closed forms"
-            + (" m,n<=10, order<=40" if full else " m,n<=6, order<=20"),
-            "closed-form",
-            lambda: _check_integer_recurrences(*((10, 40) if full else (6, 20))),
-        ),
-    ]
-    if full:
-        checks += [
-            (
-                "three-chain table full",
-                "paper-table",
-                lambda: _check_three_chain(sorted(THREE_CHAIN_TABLE)),
-            ),
-            ("Motzkin round trips m,n<=4", "oracle", lambda: _check_motzkin_roundtrips(4)),
-            ("walk round trips m+n<=8", "oracle", lambda: _check_walk_roundtrips(8)),
-            ("engine equivalence m+n<=8", "oracle", lambda: _check_engine_equivalence(8)),
-            ("shift map bijection m+n<=7", "oracle", lambda: _check_shift_map(7)),
-        ]
-    else:
-        checks.append(("engine equivalence m+n<=5", "oracle", lambda: _check_engine_equivalence(5)))
     records = []
-    for name, source, fn in checks:
+    for name, source, check, quick, full in CHECKS:
+        args = quick if level == "quick" else full
+        if args is None:
+            continue
         start = time.perf_counter()
-        expected, actual = fn()
+        expected, actual = check(*args)
         records.append(
             CheckRecord(
-                name=name,
+                name=name.format(*args),
                 expected=expected,
                 actual=actual,
                 source=source,

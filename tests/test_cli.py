@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from icsets import cli, posets, reference, series, verify
+from icsets import bijections, cli, posets, reference, series, verify
 from icsets.cli import main, parse_ics_json, parse_poset_spec
 from icsets.posets import ChainProduct, OrdinalSumAntichains, TruncatedRectangle, TypeARoot
 
@@ -165,6 +165,24 @@ def _python_in_capped_process(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_enumerate_into_a_closed_pipe_stops_quietly(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open(tmp_path / "stderr", "wb") as err, subprocess.Popen(
+        [sys.executable, "-m", "icsets.cli", "enumerate", "rect:5x6"],
+        stdout=subprocess.PIPE,
+        stderr=err,
+        env=env,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"[]\n"
+            proc.stdout.close()  # as `| head -1` does, long before the last of 39,614 sets
+            code = proc.wait(timeout=20)
+        finally:
+            proc.kill()
+    assert (code, (tmp_path / "stderr").read_text()) == (cli.EXIT_PIPE, "")
+
+
 @pytest.mark.parametrize("method", ["all", "formula"])
 def test_ordinal_sum_counts_print_in_full(method):
     # 6021 digits, past the interpreter's 4300-digit conversion limit
@@ -191,6 +209,9 @@ def test_ordinal_sum_counts_print_in_full(method):
         (("count", "ordsum:20000", "--method", "oracle"), "poset scale exceeded: 20000 elements > bound 10000"),
         (("stats", "ordsum:20000", "[]"), "poset scale exceeded: 20000 elements > bound 10000"),
         (("stats", "ordsum:400+400", "[]"), "poset scale exceeded: 160000 covers > bound 100000"),
+        # 30 elements each, within the element bound; ordsum:30 would print 2^30 sets
+        (("enumerate", "ordsum:30"), "oracle scale exceeded: 1073741824 sets > bound 200000"),
+        (("enumerate", "ordsum:10+10+10"), "oracle scale exceeded: 3142657 sets > bound 200000"),
     ],
 )
 def test_ordinal_sums_past_a_bound_exit_3_at_once(argv, message):
@@ -431,6 +452,16 @@ def test_enumerate_json(capsys):
     assert code == 0 and json.loads(out) == [[], [[1, 1]]]
 
 
+def test_enumerate_bounds_the_sets_it_prints(capsys, monkeypatch):
+    # the bound applies to min(count, --limit): ordsum:30 has 2^30 ICS, rect:2x2 13
+    code, out, err = run(capsys, "enumerate", "ordsum:30", "--limit", "5")
+    assert (code, len(out.splitlines()), err) == (0, 5, "")
+    monkeypatch.setattr(cli, "ENUMERATE_SET_BOUND", 10)
+    assert run(capsys, "enumerate", "rect:2x2") == (3, "", "error: oracle scale exceeded: 13 sets > bound 10\n")
+    code, out, err = run(capsys, "enumerate", "rect:2x2", "--limit", "10")
+    assert (code, len(out.splitlines()), err) == (0, 10, "")
+
+
 def test_enumerate_rejects_negative_limit(capsys):
     code, out, err = run(capsys, "enumerate", "rect:2x2", "--limit", "-1")
     assert code == 2 and out == ""
@@ -629,6 +660,46 @@ def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
     monkeypatch.setattr(series, engine, wrong)
     failed = {r.name for r in verify.run_checks("quick") if not r.passed}
     assert record in failed
+
+
+def _ordinal_sum_off_by_one(right):
+    return lambda family, params: right(family, params) + (family == "ordinal_sum")
+
+
+@pytest.mark.parametrize(
+    "module, engine, make_wrong, failed",
+    [
+        (series, "closed_form_count", _ordinal_sum_off_by_one, {"ordinal-sum formula vs oracle"}),
+        (bijections, "shift_map", lambda right: lambda *args: frozenset(), {"shift map bijection m+n<=4"}),
+        (
+            bijections,
+            "motzkin_to_ics",
+            lambda right: lambda word: (*right(word)[:2], frozenset()),
+            {"rectangle worked example", "Motzkin round trips m,n<=2"},
+        ),
+        (
+            bijections,
+            "walk_to_ics",
+            lambda right: lambda walk: (right(walk)[0], frozenset()),
+            {"type-A worked example", "truncated worked example", "walk round trips m+n<=4"},
+        ),
+    ],
+)
+def test_quick_verify_catches_the_maps_and_the_ordinal_sum_formula(monkeypatch, module, engine, make_wrong, failed):
+    # a wrong ordinal-sum branch, shift map or inverse map fails these quick records
+    assert all(r.passed for r in verify.run_checks("quick"))
+    monkeypatch.setattr(module, engine, make_wrong(getattr(module, engine)))
+    assert {r.name for r in verify.run_checks("quick") if not r.passed} == failed
+
+
+def test_verify_reads_one_table():
+    # every check has a row, and no level repeats a record name
+    assert {row[2].__name__ for row in verify.CHECKS} == {
+        name for name in vars(verify) if name.startswith("_check_")
+    }
+    for column, records in ((3, 23), (4, 24)):
+        names = {row[0].format(*row[column]) for row in verify.CHECKS if row[column] is not None}
+        assert len(names) == records
 
 
 def test_verify_quick(capsys):

@@ -68,6 +68,22 @@ def test_sqrt_catalan():
     assert s * s == 1 - 4 * x
 
 
+def test_sqrt_takes_no_inverse(monkeypatch):
+    # one Newton loop on the inverse square root, three products a step
+    def no_inverse(self):
+        raise AssertionError("sqrt took an inverse")
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", no_inverse)
+    frame = (("x", "y"), (6, 5))
+    x = TruncatedSeries.variable(*frame, "x")
+    y = TruncatedSeries.variable(*frame, "y")
+    disc = (1 - x - y) * (1 - x - y) - 4 * x * y
+    root = disc.sqrt()
+    assert root * root == disc and root[(0, 0)] == 1
+    # the root of 1 + 2x + x^2 is 1 + x, not -(1 + x)
+    assert ((1 + x) * (1 + x)).sqrt() == 1 + x
+
+
 def test_inverse_pair():
     x = TruncatedSeries.variable(("x",), (6,), "x")
     geom = (1 - x).inverse()
