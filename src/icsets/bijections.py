@@ -11,10 +11,17 @@ ideals of the truncated poset stay weakly above y = r.
 
 An ICS I determines the nested pair (B, T): T bounds the smallest order
 ideal containing I and B bounds the order ideal of elements strictly below
-I.  B and T coincide exactly over the files where I is empty; rewriting
-each maximal shared block to put U steps first gives the canonical
-representative, and the canonical B is also the highest path lying weakly
-below all of I.
+I.  They coincide exactly over the files where I is empty, and the
+canonical pair takes the U steps of each shared block first.  Both come
+from two envelopes of I: under, the highest path lying below every member,
+and over, the lowest path lying above every member and the floor.  The
+canonical B is under, and T is max(over, under): over bounds the ideal
+closure, and where it dips below under no member lies, so T runs with B.
+Where nothing holds it down, the highest path below I climbs as early as
+it can, so each shared block already takes its U steps first.  The
+non-members under over are the rest of the ideal closure, those above under
+the rest of the filter closure, and those between the two comparable with
+no member.
 
 Letterwise recodings of the canonical pair give the two path images: each
 step's letter is read off the rises of B and of T at that step.
@@ -30,17 +37,17 @@ recovered from a walk's frame via m = (l + s - h)/2, n = (l - s + h)/2,
 r = (l - s - h)/2.
 
 The maps read labels as coordinates; the poset build_poset(spec) caches
-is read only by require_ics, which checks the labels against the spec.
+is read only by require_ics, which checks the labels against the spec, and
+by classify_elements for the list of its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable
 
 from .paths import MOTZKIN_AS_WALK, WALK_AS_MOTZKIN, WALK_MOVES, MotzkinWord, NestedPairBT, QuarterWalk
-from .paths import _shared_blocks, validate_motzkin, validate_nested_pair, validate_walk
+from .paths import validate_motzkin, validate_nested_pair, validate_walk
 from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
     ChainProduct,
     NotIntervalClosed,
@@ -108,54 +115,50 @@ def _heights_from_letters(steps: Iterable[str], start: int) -> tuple[list[int], 
     return bh, th
 
 
-def _canonicalize_shared_blocks(bh: list[int], th: list[int]) -> None:
-    """Rewrite every maximal block where the two paths coincide so that its
-    U steps come first; both height lists are edited in place."""
-    for i, j in _shared_blocks(bh, th):
-        ups = (j - i + th[j] - th[i]) // 2
-        for k in range(i + 1, j):
-            h = th[i] + (k - i) if k - i <= ups else th[i] + 2 * ups - (k - i)
-            bh[k] = th[k] = h
-
-
 # ---------------------------------------------------------------------------
 # ICS <-> canonical nested pair
+
+
+def _envelopes(spec: PosetSpec, ics: Iterable[Label]) -> tuple[int, int, int, list[int], list[int]]:
+    """(m, n, r) and the heights of the two envelopes of an ICS: under, the
+    highest path lying below every member, and over, the lowest path lying
+    above every member and the floor.  Each is one forward and one backward
+    pass over per-file bounds, both pinned to the frame's endpoints."""
+    m, n, r = _frame(spec)
+    poset = build_poset(spec)
+    members = frozenset(ics)
+    require_ics(poset, poset.indices_of(members))
+    end = m + n
+    # floor: a + b of the file's highest member, else the floor r or r + 1
+    # by parity; ceiling: a + b - 2 of its lowest member, else m + n
+    over = [r + (r + i + n) % 2 for i in range(end + 1)]
+    under = [end] * (end + 1)
+    for a, b in members:
+        i = a - b + n
+        if a + b > over[i]:
+            over[i] = a + b
+        if a + b - 2 < under[i]:
+            under[i] = a + b - 2
+    over[0] = under[0] = n
+    over[end] = under[end] = m
+    for i in range(1, end + 1):
+        if over[i] < over[i - 1] - 1:
+            over[i] = over[i - 1] - 1
+        if under[i] > under[i - 1] + 1:
+            under[i] = under[i - 1] + 1
+    for i in range(end - 1, -1, -1):
+        if over[i] < over[i + 1] - 1:
+            over[i] = over[i + 1] - 1
+        if under[i] > under[i + 1] + 1:
+            under[i] = under[i + 1] + 1
+    return m, n, r, under, over
 
 
 def _pair_heights(spec: PosetSpec, ics: Iterable[Label]) -> tuple[int, int, int, list[int], list[int]]:
     """(m, n, r) and the heights of B and of T of the canonical pair of an
     ICS of a rectangle, truncated rectangle, or root triangle."""
-    m, n, r = _frame(spec)
-    poset = build_poset(spec)
-    members = frozenset(ics)
-    require_ics(poset, poset.indices_of(members))
-    # T bounds the down-closure and the floor: in column a, the b up to
-    # c_a = max(T_a, r + 1 - a), where T_a is the largest b of a member in a
-    # column a' >= a.  Read back from (m + n, m), the path climbs
-    # c_a - c_(a+1) D steps, then drops over column a's U step.
-    top = [0] * (m + 1)
-    for a, b in members:
-        if b > top[a]:
-            top[a] = b
-    rises, c = [], 0
-    for a in range(m, 0, -1):
-        reach = top[a] if top[a] > r + 1 - a else r + 1 - a
-        if reach > c:
-            rises += [1] * (reach - c)
-            c = reach
-        rises.append(-1)
-    rises += [1] * (n - c)
-    th = list(accumulate(rises, initial=m))
-    th.reverse()
-    # B bounds the ideal minus the ICS.  A file is a chain whose members top
-    # the ideal's segment there (an element of the ideal above a member lies
-    # below another member), so B runs just below the file's lowest member.
-    bh = list(th)
-    for a, b in members:
-        if a + b - 2 < bh[a - b + n]:
-            bh[a - b + n] = a + b - 2
-    _canonicalize_shared_blocks(bh, th)
-    return m, n, r, bh, th
+    m, n, r, under, over = _envelopes(spec, ics)
+    return m, n, r, under, list(map(max, over, under))
 
 
 def ics_to_nested_pair(spec: PosetSpec, ics: Iterable[Label]) -> NestedPairBT:
@@ -250,7 +253,7 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
 
 
 # ---------------------------------------------------------------------------
-# Element classification (the four regions cut out by the L and U paths)
+# Element classification (the four regions cut out by the two envelopes)
 
 
 @dataclass(frozen=True)
@@ -265,22 +268,18 @@ def classify_elements(spec: PosetSpec, ics: Iterable[Label]) -> ElementClassific
     """Partition the poset into the ICS, the rest of its ideal closure, the
     rest of its filter closure, and the elements comparable with nothing in
     it."""
-    _frame(spec)  # restrict to the rectangle-like families
-    poset = build_poset(spec)
     members = frozenset(ics)
-    require_ics(poset, poset.indices_of(members))
-    files = family_of(spec).files(normalize_spec(spec))
-    # T_a: the largest b of a member in a column a' >= a; L_a: the smallest
-    # in a column a' <= a (a dict keeps a key's last value).  A non-member is
-    # below a member iff b <= T_a, above one iff b >= L_a; never both in an ICS.
-    top, low = dict(sorted(members)), dict(sorted(members, reverse=True))
-    tops = reversed(list(accumulate((top.get(a, 0) for a, _, _ in reversed(files)), max)))
-    lows = accumulate((low.get(a, hi + 1) for a, _, hi in files), min)
+    _, n, _, under, over = _envelopes(spec, members)
     below, above, incomparable = [], [], []
-    for (a, lo, hi), t, cut in zip(files, tops, lows):
-        below += [(a, b) for b in range(lo, t + 1) if (a, b) not in members]
-        incomparable += [(a, b) for b in range(max(lo, t + 1), min(hi + 1, cut))]
-        above += [(a, b) for b in range(max(lo, t + 1, cut), hi + 1)]
+    for a, b in build_poset(spec).labels:
+        if (a, b) not in members:
+            i = a - b + n
+            if over[i] >= a + b:
+                below.append((a, b))
+            elif under[i] < a + b:
+                above.append((a, b))
+            else:
+                incomparable.append((a, b))
     return ElementClassification(members, frozenset(below), frozenset(above), frozenset(incomparable))
 
 
@@ -305,10 +304,8 @@ def shift_map(m: int, n: int, ics: Iterable[Label]) -> frozenset[Label]:
         raise ValueError(
             f"shift map needs an element in every file 1..{m}, missing {sorted(set(range(1, m + 1)) - files)}"
         )
-    # the canonical pair: B is the highest path below every member, and T is
-    # the down-closure's boundary, which has no valley inside a shared block:
-    # at a valley x = (a, b), neither the member (a, c) nor the member above
-    # (a, b - 1) lies above x, so (a, b - 1), at the next file, is a member
+    # each column is a chain holding a member, so every element is comparable
+    # with one: over never dips below under, and (B, T) is (under, over)
     _, _, _, lower, upper = _pair_heights(ChainProduct(m, n), ics)
     return _cells_between(m + 1, n, 0, lower + [lower[-1] + 1], [n] + [h + 1 for h in upper])
 

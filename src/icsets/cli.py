@@ -176,7 +176,11 @@ def cmd_enumerate(args) -> int:
         for s in posets.enumerate_ics(poset, limit=args.limit)
     )
     if args.json:
-        print(json.dumps(list(stream), separators=(",", ":")))
+        # the array is written row by row, never held whole
+        print("[", end="")
+        for k, row in enumerate(stream):
+            print(("," if k else "") + json.dumps(row, separators=(",", ":")), end="")
+        print("]")
     else:
         for row in stream:
             print(json.dumps(row, separators=(",", ":")))

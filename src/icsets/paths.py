@@ -250,7 +250,7 @@ def _walk_verdict(start_x: int, steps: tuple[str, ...]) -> WalkVerdict:
 
 def _shared_blocks(bh: Sequence[int], th: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(i, j) for each maximal block of steps i + 1..j over which the paths
-    with heights bh and th coincide; the caller may edit inside a block."""
+    with heights bh and th coincide."""
     for meet, run in groupby(range(len(bh)), lambda k: bh[k] == th[k]):
         run = list(run)
         if meet and len(run) > 1:

@@ -408,7 +408,10 @@ def run_checks(level: str = "quick") -> list[CheckRecord]:
         if args is None:
             continue
         start = time.perf_counter()
-        expected, actual = check(*args)
+        try:
+            expected, actual = check(*args)
+        except Exception as exc:  # a check that raises fails its record
+            expected, actual = "no exception", f"{type(exc).__name__}: {exc}"
         records.append(
             CheckRecord(
                 name=name.format(*args),

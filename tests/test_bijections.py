@@ -10,7 +10,6 @@ import pytest
 from icsets import posets
 from icsets.bijections import (
     NotIntervalClosed,
-    _canonicalize_shared_blocks,
     _cells_between,
     _steps_from_heights,
     classify_elements,
@@ -29,6 +28,7 @@ from icsets.bijections import (
 )
 from icsets.paths import (
     MotzkinWord,
+    _shared_blocks,
     NestedPairBT,
     QuarterWalk,
     enumerate_motzkin,
@@ -105,6 +105,44 @@ def _ideal_from_heights(m, n, r, heights):
 
 def _box_scan(m, n, r, lower, upper):
     return frozenset(_ideal_from_heights(m, n, r, upper) - _ideal_from_heights(m, n, r, lower))
+
+
+def _canonicalize_shared_blocks(bh, th):
+    """Rewrite every maximal block where the two paths coincide so that its
+    U steps come first; both height lists are edited in place."""
+    for i, j in _shared_blocks(bh, th):
+        ups = (j - i + th[j] - th[i]) // 2
+        for k in range(i + 1, j):
+            h = th[i] + (k - i) if k - i <= ups else th[i] + 2 * ups - (k - i)
+            bh[k] = th[k] = h
+
+
+def _column_top_pair(spec, labels):
+    """The canonical pair built column by column: T from the column tops,
+    B by lowering T to just below each file's lowest member, then the
+    U-first rewrite of the shared blocks."""
+    m, n, r = family_of(spec).frame(normalize_spec(spec))
+    # in column a, T covers the b up to c_a = max(T_a, r + 1 - a), where T_a
+    # is the largest b of a member in a column a' >= a.  Read back from
+    # (m + n, m), the path climbs c_a - c_(a+1) D steps, then drops over
+    # column a's U step
+    top = [0] * (m + 1)
+    for a, b in labels:
+        top[a] = max(top[a], b)
+    rises, c = [], 0
+    for a in range(m, 0, -1):
+        reach = max(top[a], r + 1 - a)
+        if reach > c:
+            rises += [1] * (reach - c)
+            c = reach
+        rises.append(-1)
+    rises += [1] * (n - c)
+    th = list(itertools.accumulate(rises, initial=m))[::-1]
+    bh = list(th)
+    for a, b in labels:
+        bh[a - b + n] = min(bh[a - b + n], a + b - 2)
+    _canonicalize_shared_blocks(bh, th)
+    return NestedPairBT(m, n, r, _steps_from_heights(bh), _steps_from_heights(th))
 
 
 def _reference_pair(spec, labels, poset):
@@ -414,8 +452,8 @@ def _classification_cases():
 
 
 def test_classify_matches_the_closures():
-    # classify_elements reads its regions from the files and the column
-    # bounds T_a and L_a; the closures on the built poset are the reference
+    # classify_elements reads its regions from the two envelopes; the
+    # closures on the built poset are the reference
     for spec, labels in _classification_cases():
         cl = classify_elements(spec, labels)
         assert (cl.in_ics, cl.below_only, cl.above_only, cl.incomparable) == _closure_classification(spec, labels)
@@ -619,6 +657,23 @@ def _composition_cases():
     for frame in SWEEP_LADDER:
         for _ in range(200):
             yield _ladder_spec(frame), _random_ics(rng, frame), False
+
+
+def test_pair_matches_the_column_top_construction():
+    # every ICS of rect:4x4, of each trunc frame with m, n <= 3 and every
+    # floor, and of rootA:0..5, then seeded ICS of the sweep ladder's frames
+    specs = [ChainProduct(4, 4), *(TypeARoot(k) for k in range(6))]
+    specs += [TruncatedRectangle(m, n, r) for m in range(4) for n in range(4) for r in range(min(m, n) + 1)]
+    for spec in specs:
+        poset = build_poset(spec)
+        for s in enumerate_ics(poset):
+            labels = poset.labels_of(s)
+            assert ics_to_nested_pair(spec, labels) == _column_top_pair(spec, labels)
+    rng = random.Random("pair against the column-top construction")
+    for frame in SWEEP_LADDER:
+        for _ in range(200):
+            spec, labels = _ladder_spec(frame), _random_ics(rng, frame)
+            assert ics_to_nested_pair(spec, labels) == _column_top_pair(spec, labels)
 
 
 def test_direct_maps_equal_the_validated_compositions():

@@ -1,11 +1,13 @@
 """Command-line surface: output contracts, encodings, and exit codes."""
 
+import contextlib
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -452,6 +454,34 @@ def test_enumerate_json(capsys):
     assert code == 0 and json.loads(out) == [[], [[1, 1]]]
 
 
+@pytest.mark.parametrize(
+    "spec, limit", [("rect:1x2", None), ("rect:3x3", None), ("rect:3x3", "0"), ("rect:3x3", "3")]
+)
+def test_enumerate_json_streams_the_array_of_the_line_form(capsys, spec, limit):
+    # the array, written row by row, has the bytes of json.dumps of the whole list
+    extra = ("--limit", limit) if limit else ()
+    code, lines, _ = run(capsys, "enumerate", spec, *extra)
+    rows = [json.loads(line) for line in lines.splitlines()]
+    assert code == 0 and run(capsys, "enumerate", spec, "--json", *extra) == (
+        0,
+        json.dumps(rows, separators=(",", ":")) + "\n",
+        "",
+    )
+
+
+def test_enumerate_json_holds_no_list_of_the_sets():
+    # rootA:6 has 20,362 sets; holding them all peaked at about 18 MiB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["enumerate", "rootA:6", "--limit", "1"]) == 0  # the poset is built and cached
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "rootA:6", "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_enumerate_bounds_the_sets_it_prints(capsys, monkeypatch):
     # the bound applies to min(count, --limit): ordsum:30 has 2^30 ICS, rect:2x2 13
     code, out, err = run(capsys, "enumerate", "ordsum:30", "--limit", "5")
@@ -690,6 +720,20 @@ def test_quick_verify_catches_the_maps_and_the_ordinal_sum_formula(monkeypatch, 
     assert all(r.passed for r in verify.run_checks("quick"))
     monkeypatch.setattr(module, engine, make_wrong(getattr(module, engine)))
     assert {r.name for r in verify.run_checks("quick") if not r.passed} == failed
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=repr)
+def test_verify_turns_a_raising_check_into_a_failed_record(capsys, monkeypatch, error):
+    def raising(word):
+        raise error
+
+    monkeypatch.setattr(bijections, "motzkin_to_ics", raising)
+    code, out, err = run(capsys, "verify", "--level", "quick")
+    assert (code, err) == (4, "error: verification failed\n")
+    assert "[FAIL] rectangle worked example (paper-table," in out
+    actual = f"{type(error).__name__}: {error}"
+    assert f"    actual:   {actual!r}" in out
+    assert "[PASS] type-A worked example" in out  # the checks after it still run
 
 
 def test_verify_reads_one_table():
