@@ -1,17 +1,17 @@
 """Constructive maps between interval-closed sets and lattice paths.
 
 Geometry.  Elements (a, b) of [m] x [n] are drawn in path coordinates at
-(a - b + n, a + b - 1): column index ("file") i = a - b + n running from 1
+(a - b + n, a + b - 1): diagonal i = a - b + n running from 1
 to m + n - 1, height j = a + b - 1.  An order ideal corresponds to the
 unique monotone path from (0, n) to (m + n, m) over steps U = (1, 1) and
 D = (1, -1) that leaves exactly the ideal below it: element (a, b) lies in
-the ideal iff the path height at its file is at least a + b.  Truncating
+the ideal iff the path height at its diagonal is at least a + b.  Truncating
 the bottom r ranks of the rectangle turns into a floor: boundary paths of
 ideals of the truncated poset stay weakly above y = r.
 
 An ICS I determines the nested pair (B, T): T bounds the smallest order
 ideal containing I and B bounds the order ideal of elements strictly below
-I.  They coincide exactly over the files where I is empty, and the
+I.  They coincide exactly over the diagonals where I is empty, and the
 canonical pair takes the U steps of each shared block first.  Both come
 from two envelopes of I: under, the highest path lying below every member,
 and over, the lowest path lying above every member and the floor.  The
@@ -85,8 +85,8 @@ def _frame(spec: PosetSpec) -> tuple[int, int, int]:
 
 def _cells_between(m: int, n: int, r: int, lower: list[int], upper: list[int]) -> frozenset[Label]:
     """Cells (a, b) above the floor (a + b - 2 >= r) between two paths from
-    (0, n) to (m + n, m): lower[i] < a + b <= upper[i] at file i = a - b + n.
-    Heights at file i have the parity of a + b there, so a + b steps by 2."""
+    (0, n) to (m + n, m): lower[i] < a + b <= upper[i] at diagonal i = a - b + n.
+    Heights at diagonal i have the parity of a + b there, so a + b steps by 2."""
     cells = set()
     for i in range(1, m + n):
         if upper[i] > lower[i]:
@@ -123,13 +123,13 @@ def _envelopes(spec: PosetSpec, ics: Iterable[Label]) -> tuple[int, int, int, li
     """(m, n, r) and the heights of the two envelopes of an ICS: under, the
     highest path lying below every member, and over, the lowest path lying
     above every member and the floor.  Each is one forward and one backward
-    pass over per-file bounds, both pinned to the frame's endpoints."""
+    pass over per-diagonal bounds, both pinned to the frame's endpoints."""
     m, n, r = _frame(spec)
     poset = build_poset(spec)
     members = frozenset(ics)
     require_ics(poset, poset.indices_of(members))
     end = m + n
-    # floor: a + b of the file's highest member, else the floor r or r + 1
+    # floor: a + b of the diagonal's highest member, else the floor r or r + 1
     # by parity; ceiling: a + b - 2 of its lowest member, else m + n
     over = [r + (r + i + n) % 2 for i in range(end + 1)]
     under = [end] * (end + 1)

@@ -284,19 +284,19 @@ def _ints(text: str, *separators: str) -> list[int]:
     return [_int(f) for f in fields + [text]]
 
 
-def _nonnegative(name: str):
-    # check for specs whose integer fields must all be >= 0
-    def check(spec):
-        if min(spec._key) < 0:
-            raise ValueError(f"{name} needs {', '.join(spec.__slots__)} >= 0, got {spec}")
-        return spec
-
-    return check
+def _nonnegative(spec):
+    """The check of a spec whose integer fields must all be >= 0, refused in
+    the letters of its family's form: "cube:LxMxN needs L, M, N >= 0"."""
+    if min(spec._key) < 0:
+        form = family_of(spec).form
+        letters = [c for c in form.partition(":")[2] if c.isupper()]
+        raise ValueError(f"{form} needs {', '.join(letters)} >= 0")
+    return spec
 
 
 def _check_truncated(spec: TruncatedRectangle) -> TruncatedRectangle:
     if spec.m < 0 or spec.n < 0:
-        raise ValueError(f"truncated rectangle needs m, n >= 0, got {spec}")
+        raise ValueError("trunc:MxN:R needs M, N >= 0")
     if spec.r > min(spec.m, spec.n):
         raise ValueError(
             f"truncation depth r={spec.r} exceeds min(m, n)={min(spec.m, spec.n)}"
@@ -329,7 +329,7 @@ FAMILIES = (
     Family(
         ChainProduct, "rect:MxN",
         parse=lambda text: ChainProduct(*_ints(text, "x")),
-        check=_nonnegative("chain product"),
+        check=_nonnegative,
         size=lambda s: s.m * s.n,
         files=lambda s: [(a, 1, s.n) for a in range(1, s.m + 1) if s.n],
         frame=lambda s: (s.m, s.n, 0),
@@ -351,7 +351,7 @@ FAMILIES = (
     Family(
         TypeARoot, "rootA:K",
         parse=lambda text: TypeARoot(*_ints(text)),
-        check=_nonnegative("root triangle"),
+        check=_nonnegative,
         size=lambda s: s.k * (s.k + 1) // 2,
         files=lambda s: [(a, max(1, s.k + 3 - a), s.k + 1) for a in range(2, s.k + 2)],  # column 1 is empty
         frame=lambda s: (s.k + 1, s.k + 1, s.k + 1),
@@ -360,7 +360,7 @@ FAMILIES = (
     Family(
         TypeBMinuscule, "minB:N",
         parse=lambda text: TypeBMinuscule(*_ints(text)),
-        check=_nonnegative("TypeBMinuscule"),
+        check=_nonnegative,
         size=lambda s: s.n * (s.n + 1) // 2,
         files=lambda s: [(a, a, s.n) for a in range(1, s.n + 1)],
         series=lambda s: series.b_minuscule_counts(s.n)[s.n],
@@ -368,7 +368,7 @@ FAMILIES = (
     Family(
         TypeBRoot, "rootB:N",
         parse=lambda text: TypeBRoot(*_ints(text)),
-        check=_nonnegative("TypeBRoot"),
+        check=_nonnegative,
         size=lambda s: s.n * s.n,
         files=lambda s: [(a, max(a, 2 * s.n + 2 - a), 2 * s.n) for a in range(2, 2 * s.n + 1)],
         series=lambda s: series.b_root_counts(s.n),
@@ -386,7 +386,7 @@ FAMILIES = (
     Family(
         ChainProduct3, "cube:LxMxN",
         parse=lambda text: ChainProduct3(*_ints(text, "x", "x")),
-        check=_nonnegative("chain product"),
+        check=_nonnegative,
         size=lambda s: s.l * s.m * s.n,
         labels=lambda s: list(itertools.product(*(range(1, side + 1) for side in (s.l, s.m, s.n)))),
         count_spec=lambda s: ChainProduct3(*sorted((s.l, s.m, s.n), reverse=True)),

@@ -204,7 +204,7 @@ def rectangle_series(mmax: int, nmax: int) -> TruncatedSeries:
 def bicolored_series(mmax: int, nmax: int) -> TruncatedSeries:
     """Bicolored Motzkin path series C(x, y) with C = 1 + (x+y)C + xyC^2,
     x marking up/first-color steps and y down/second-color steps."""
-    _check_budget(mmax + 1, nmax + 1)
+    _check_budget(mmax, nmax)
     frame = (("x", "y"), (mmax + 1, nmax + 1))
     x = TruncatedSeries.variable(*frame, "x")
     y = TruncatedSeries.variable(*frame, "y")

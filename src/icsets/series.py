@@ -44,7 +44,7 @@ ORDINAL_SUM_DIGIT_BUDGET = 100_000
 
 
 class SeriesBudgetExceeded(RuntimeError):
-    """Requested truncation order above the configured budget."""
+    """A series engine was given an order, size or count past its budget."""
 
 
 class NegativeExponentError(ArithmeticError):
@@ -110,7 +110,7 @@ def rectangle_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
 
 
 def bicolored_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
-    _check_budget(mmax + 1, nmax + 1)  # the budget of reference.bicolored_series
+    _check_budget(mmax, nmax)
     c = _bicolored_rows(mmax, nmax)
     return {(m, n): c[m][n] for m in range(mmax + 1) for n in range(nmax + 1)}
 
@@ -263,12 +263,12 @@ def _g_tables(order: int, tmax: int, total: int | None = None):
 
 # F is G started at the origin, keyed (0, x, y).  cmd_series reads one n at a
 # time, so the tables are kept and the paused generator steps on only on demand.
+# typeA_counts(n) reads z-order 2n, so F steps to twice the budget.
 _F_CACHE: list[dict[tuple[int, int, int], int]] = []
-_F_STEPS = _g_tables(ORDER_BUDGET, 0)
+_F_STEPS = _g_tables(2 * ORDER_BUDGET, 0)
 
 
 def _f_upto(order: int) -> list[dict[tuple[int, int, int], int]]:
-    _check_budget(order)
     _F_CACHE.extend(islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))))
     return _F_CACHE[: order + 1]
 
@@ -276,14 +276,14 @@ def _f_upto(order: int) -> list[dict[tuple[int, int, int], int]]:
 def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
     """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
     copy of the endpoint counts of the walks of that length, keyed (x, y)."""
+    _check_budget(order)
     return [{(i, j): c for (_, i, j), c in f.items()} for f in _f_upto(order)]
 
 
 def typeA_counts(n: int) -> int:
     """Number of ICS of the root triangle with n - 1 minimal elements: the
     constant term at z-order 2n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_budget(n)
     return _f_upto(2 * n)[2 * n].get((0, 0, 0), 0)
 
 
@@ -300,6 +300,7 @@ def _symmetric_walks(fs: list[dict[tuple[int, int, int], int]], ell: int) -> int
 def symmetric_typeA_counts(order: int) -> list[int]:
     """Per length l, walks from the origin not ending with W on the x-axis:
     mirror-symmetric ICS of the root triangle with l - 1 minimal elements."""
+    _check_budget(order)
     fs = _f_upto(order)
     return [_symmetric_walks(fs, ell) for ell in range(order + 1)]
 
@@ -307,8 +308,7 @@ def symmetric_typeA_counts(order: int) -> list[int]:
 def b_root_counts(n: int) -> int:
     """Number of ICS of the type B root poset of rank n: symmetric count at
     even length 2n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_budget(n)
     return _symmetric_walks(_f_upto(2 * n), 2 * n)
 
 
@@ -319,10 +319,9 @@ def truncated_counts(
     m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
     r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
     the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped only to
-    z-order total, with keys beyond the y-horizon of _g_tables dropped; the
-    budget bounds that z-order and the highest start nmax."""
+    z-order total, with keys beyond the y-horizon of _g_tables dropped."""
+    _check_budget(mmax, nmax, *(() if total is None else (total,)))
     total = mmax + nmax if total is None else min(total, mmax + nmax)
-    _check_budget(total, nmax)
     out = {}
     for ell, g in enumerate(_g_tables(total, nmax, total)):
         for m in range(max(0, ell - nmax), min(mmax, ell) + 1):

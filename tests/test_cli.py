@@ -125,10 +125,10 @@ BUILD_BOUND = "poset scale exceeded: 199999999998 elements > bound 10000"
         (("enumerate", f"rect:{HUGE}x2", "--limit", "1"), 3, ORACLE_BOUND),
         (("stats", f"rect:{HUGE}x2", "[]"), 3, BUILD_BOUND),
         (("map", f"rect:{HUGE}x2", "[]", "--to", "motzkin"), 3, BUILD_BOUND),
-        (("count", f"rootA:{HUGE}"), 3, "order 200000000000 exceeds budget 40"),
+        (("count", f"rootA:{HUGE}"), 3, "order 100000000000 exceeds budget 40"),
         (("count", f"minB:{HUGE}"), 3, "order 99999999999 exceeds budget 40"),
-        (("count", f"rootB:{HUGE}"), 3, "order 199999999998 exceeds budget 40"),
-        (("count", f"trunc:{HUGE}x2:1"), 3, "order 100000000001 exceeds budget 40"),
+        (("count", f"rootB:{HUGE}"), 3, "order 99999999999 exceeds budget 40"),
+        (("count", f"trunc:{HUGE}x2:1"), 3, "order 99999999999 exceeds budget 40"),
         (("count", f"cube:{HUGE}x2x2"), 3, "poset scale exceeded: 399999999996 elements > bound 10000"),
     ],
 )
@@ -627,8 +627,43 @@ def test_series_budget_edges(capsys):
     code, out, _ = run(capsys, "series", "truncated", "--order", "40")
     assert code == 0 and out.splitlines()[-1] == "40,0,0,1"
     assert f"20,20,0,{series.rectangle_counts(20, 20)[(20, 20)]}" in out.splitlines()
-    for argv in (("rectangle", "--order", "41"), ("truncated", "--order", "41")):
-        assert run(capsys, "series", *argv) == (3, "", "error: order 41 exceeds budget 40\n")
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # every series engine refuses the first number past the budget, in the
+        # number its caller gave; rootA:K is type A order K + 1
+        *((("series", table, "--order", "41"), 3, "order 41 exceeds budget 40")
+          for table in ("rectangle", "bminuscule", "typeA", "broot", "truncated")),
+        *((("count", spec, "--method", "series"), 3, "order 41 exceeds budget 40")
+          for spec in ("rect:41x2", "minB:41", "rootB:41", "trunc:41x2:1", "rootA:40")),
+        (("count", "rootA:60"), 3, "order 61 exceeds budget 40"),
+        # a negative size is refused in the letters of the family's form
+        (("count", "rect:-1x2"), 2, "bad poset spec 'rect:-1x2': rect:MxN needs M, N >= 0"),
+        (("count", "trunc:-1x2:0"), 2, "bad poset spec 'trunc:-1x2:0': trunc:MxN:R needs M, N >= 0"),
+        (("count", "rootA:-1"), 2, "bad poset spec 'rootA:-1': rootA:K needs K >= 0"),
+        (("count", "minB:-1"), 2, "bad poset spec 'minB:-1': minB:N needs N >= 0"),
+        (("count", "rootB:-1"), 2, "bad poset spec 'rootB:-1': rootB:N needs N >= 0"),
+        (("count", "cube:1x-1x1"), 2, "bad poset spec 'cube:1x-1x1': cube:LxMxN needs L, M, N >= 0"),
+    ],
+)
+def test_refusals_name_the_numbers_as_typed(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        ("rootB:21", "17432630832600683009670"),
+        ("rootA:25", "4457505281569555328680952"),
+        ("trunc:25x20:3", "546259016747963225139823"),
+    ],
+)
+def test_count_checks_the_series_engine_on_each_size_it_accepts(capsys, spec, expected):
+    # the engines step F to z-orders 42 and 52 and G to 45, past 40: the
+    # series count is printed beside the oracle's
+    assert run(capsys, "count", spec) == (0, f"{expected}, {expected}\n", "")
 
 
 @pytest.mark.parametrize(

@@ -102,10 +102,17 @@ def test_division_and_errors():
 
 
 def test_budget():
+    # each engine bounds the numbers it is given, not the z-order it steps to
     with pytest.raises(SeriesBudgetExceeded):
         rectangle_counts(41, 2)
-    with pytest.raises(SeriesBudgetExceeded):
-        typeA_counts(21)
+    with pytest.raises(SeriesBudgetExceeded, match="^order 41 exceeds budget 40$"):
+        typeA_counts(41)
+    with pytest.raises(ValueError, match="^orders must be non-negative$"):
+        truncated_counts(2, 2, -1)
+    dp = walk_dp_coeffs(80)
+    assert typeA_counts(40) == dp[80][(0, 0)]
+    symmetric = sum(dp[80].values()) - sum(c for (i, j), c in dp[79].items() if j == 0 < i)
+    assert b_root_counts(40) == symmetric
 
 
 def test_ordinal_sum_formula_refuses_a_count_past_its_digit_budget():
