@@ -278,8 +278,7 @@ def _cmd_map_inverse(args, spec) -> int:
 
 def cmd_series(args) -> int:
     order = args.order if args.order is not None else args.seed_order
-    if order < 0:
-        raise ValueError("orders must be non-negative")
+    series._check_budget(order)  # before any engine steps
     which = args.which
     if which == "rectangle":
         table = series.rectangle_counts(order, order)

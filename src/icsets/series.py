@@ -18,10 +18,11 @@ Three independent routes to the same numbers live here:
           - z(1/x + y/x) G(0,y) - z(x/y) G(x,0) - z^2 (G(x,0) - G(0,0)).
 
     F(x, y, z), which counts the walks from the origin, is G started at the
-    origin: the t^0 slice, with [init] = 1.  One engine steps both, on keys
-    (h, x, y).  Multiplication by 1/x and x/y is carried out on an extended
-    exponent range; every negative exponent must cancel exactly, and
-    failure to cancel is a hard error, never a silent truncation;
+    origin: the t^0 slice, with [init] = 1.  One engine steps both, one
+    start h at a time, on keys (x, y): the t^h slice of G counts the walks
+    from (h, 0).  Multiplication by 1/x and x/y is carried out on an
+    extended exponent range; every negative exponent must cancel exactly,
+    and failure to cancel is a hard error, never a silent truncation;
 
   * a boundary-flagged dynamic program over walk states (x, y, flag) that
     knows nothing about the functional equation and serves as the
@@ -211,64 +212,64 @@ def b_minuscule_counts(nmax: int) -> list[int]:
 
 
 def _advance(
-    prev: dict[tuple[int, int, int], int], prev2: dict[tuple[int, int, int], int]
-) -> dict[tuple[int, int, int], int]:
-    """One z-order of the walk functional equation on keys (h, x, y): the
-    exponents of t, x and y.  The start height h rides along unchanged."""
-    out: dict[tuple[int, int, int], int] = {}
+    prev: dict[tuple[int, int], int], prev2: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """One z-order of the walk functional equation on keys (x, y): the
+    exponents of x and y in one t-slice of G, the walks from one start."""
+    out: dict[tuple[int, int], int] = {}
     get = out.get
-    for (h, i, j), c in prev.items():
-        for key in ((h, i + 1, j), (h, i - 1, j), (h, i + 1, j - 1), (h, i - 1, j + 1)):
+    for (i, j), c in prev.items():
+        for key in ((i + 1, j), (i - 1, j), (i + 1, j - 1), (i - 1, j + 1)):
             out[key] = get(key, 0) + c  # times x, 1/x, x/y, y/x; negative for now
         if i == 0:  # minus (1/x + y/x) times the x = 0 slice
-            for key in ((h, -1, j), (h, -1, j + 1)):
+            for key in ((-1, j), (-1, j + 1)):
                 out[key] = get(key, 0) - c
         if j == 0:  # minus (x/y) times the y = 0 slice
-            key = (h, i + 1, -1)
+            key = (i + 1, -1)
             out[key] = get(key, 0) - c
     for key, c in prev2.items():
-        if key[2] == 0 and key[1] > 0:  # minus (g(x,0) - g(0,0)) one z-order back
+        if key[1] == 0 and key[0] > 0:  # minus (g(x,0) - g(0,0)) one z-order back
             out[key] = get(key, 0) - c
 
     cleaned = {key: c for key, c in out.items() if c}
     for key, c in cleaned.items():
-        if key[1] < 0 or key[2] < 0:
+        if key[0] < 0 or key[1] < 0:
             raise NegativeExponentError(f"uncancelled exponent at {key} (coefficient {c})")
         if c < 0:
             raise NegativeExponentError(f"negative walk count {c} at {key}; boundary terms are wrong")
     return cleaned
 
 
-def _g_tables(order: int, tmax: int, total: int | None = None):
-    """Yield g_0..g_order of G(t, x, y, z) for the starts h <= tmax, holding
-    only the two tables that _advance reads.  With a total, keys whose
-    y-exponent exceeds total - l are dropped from g_l; the y = 0 coefficients
-    up to z-order total stay exact:
+def _g_tables(order: int, start: int, total: int | None = None):
+    """Yield g_0..g_order of the t^start slice of G(t, x, y, z), the walks
+    from (start, 0), holding only the two tables that _advance reads.  With
+    a total, keys whose y-exponent exceeds total - l are dropped from g_l;
+    the y = 0 coefficients up to z-order total stay exact:
       * each step lowers y by at most one (only the x/y term does);
       * the boundary terms cancel the 1/x and x/y images of their own
         source key, so a kept key's contribution never needs a dropped one;
       * the prev2 term reads y = 0 only, which is never dropped.
     So a key with y > total - l feeds only keys that are dropped as well,
     and never a y = 0 coefficient at z-order <= total."""
-    prev2: dict[tuple[int, int, int], int] = {}
-    prev = {(h, h, 0): 1 for h in range(tmax + 1)}
+    prev2: dict[tuple[int, int], int] = {}
+    prev = {(start, 0): 1}
     yield prev
     for ell in range(1, order + 1):
         nxt = _advance(prev, prev2)
         if total is not None:
-            nxt = {key: c for key, c in nxt.items() if key[2] <= total - ell}
+            nxt = {key: c for key, c in nxt.items() if key[1] <= total - ell}
         prev2, prev = prev, nxt
         yield prev
 
 
-# F is G started at the origin, keyed (0, x, y).  cmd_series reads one n at a
-# time, so the tables are kept and the paused generator steps on only on demand.
-# typeA_counts(n) reads z-order 2n, so F steps to twice the budget.
-_F_CACHE: list[dict[tuple[int, int, int], int]] = []
+# F is G from the origin.  cmd_series reads one n at a time, so the tables
+# are kept and the paused generator steps on only on demand.  typeA_counts(n)
+# reads z-order 2n, so F steps to twice the budget.
+_F_CACHE: list[dict[tuple[int, int], int]] = []
 _F_STEPS = _g_tables(2 * ORDER_BUDGET, 0)
 
 
-def _f_upto(order: int) -> list[dict[tuple[int, int, int], int]]:
+def _f_upto(order: int) -> list[dict[tuple[int, int], int]]:
     _F_CACHE.extend(islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))))
     return _F_CACHE[: order + 1]
 
@@ -277,23 +278,23 @@ def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
     """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
     copy of the endpoint counts of the walks of that length, keyed (x, y)."""
     _check_budget(order)
-    return [{(i, j): c for (_, i, j), c in f.items()} for f in _f_upto(order)]
+    return [dict(f) for f in _f_upto(order)]
 
 
 def typeA_counts(n: int) -> int:
     """Number of ICS of the root triangle with n - 1 minimal elements: the
     constant term at z-order 2n."""
     _check_budget(n)
-    return _f_upto(2 * n)[2 * n].get((0, 0, 0), 0)
+    return _f_upto(2 * n)[2 * n].get((0, 0), 0)
 
 
-def _symmetric_walks(fs: list[dict[tuple[int, int, int], int]], ell: int) -> int:
+def _symmetric_walks(fs: list[dict[tuple[int, int], int]], ell: int) -> int:
     """Walks of length ell from the origin that do not end with W on the
     x-axis: all of them, less one W step appended to each walk of length
     ell - 1 that ends on the x-axis off the origin."""
     total = sum(fs[ell].values())
     if ell:
-        total -= sum(c for (_, i, j), c in fs[ell - 1].items() if j == 0 and i > 0)
+        total -= sum(c for (i, j), c in fs[ell - 1].items() if j == 0 and i > 0)
     return total
 
 
@@ -312,36 +313,48 @@ def b_root_counts(n: int) -> int:
     return _symmetric_walks(_f_upto(2 * n), 2 * n)
 
 
+def truncated_count(m: int, n: int, r: int) -> int:
+    """ICS count of [m] x [n] minus its bottom r ranks: the walks from
+    (n - r, 0) to (m - r, 0) of length m + n, read off G from that one
+    start."""
+    _check_budget(m, n)
+    if not 0 <= r <= min(m, n):
+        raise ValueError(f"truncation depth r={r} is not in 0..min(m, n)={min(m, n)}")
+    g = next(islice(_g_tables(m + n, n - r, m + n), m + n, None))
+    return g.get((m - r, 0), 0)
+
+
 def truncated_counts(
     mmax: int, nmax: int, total: int | None = None
 ) -> dict[tuple[int, int, int], int]:
     """Table of ICS counts of [m] x [n] minus its bottom r ranks, for all
     m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
     r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
-    the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped only to
-    z-order total, with keys beyond the y-horizon of _g_tables dropped."""
+    the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped from each
+    start h <= nmax in lockstep, only to z-order total, with keys beyond
+    the y-horizon of _g_tables dropped."""
     _check_budget(mmax, nmax, *(() if total is None else (total,)))
     total = mmax + nmax if total is None else min(total, mmax + nmax)
     out = {}
-    for ell, g in enumerate(_g_tables(total, nmax, total)):
+    for ell, gs in enumerate(zip(*(_g_tables(total, h, total) for h in range(nmax + 1)))):
         for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
             n = ell - m
             for r in range(min(m, n) + 1):
-                out[(m, n, r)] = g.get((n - r, m - r, 0), 0)
+                out[(m, n, r)] = gs[n - r].get((m - r, 0), 0)
     return dict(sorted(out.items()))
 
 
-def truncated_series_head(order: int, tmax: int) -> list[dict[tuple[int, int], int]]:
-    """Per z-order coefficients of (1 - tx) G(t, x, 0, z): the series head
-    with the start-shift factor divided out."""
-    _check_budget(order, tmax)
+def truncated_series_head(order: int, hmax: int) -> list[dict[tuple[int, int], int]]:
+    """Per z-order coefficients of (1 - tx) G(t, x, 0, z) for the starts
+    h <= hmax: the series head with the start-shift factor divided out."""
+    _check_budget(order, hmax)
     out = []
-    for g in _g_tables(order, tmax):
-        slice_ = {(h, i): c for (h, i, j), c in g.items() if j == 0}
+    for gs in zip(*(_g_tables(order, h) for h in range(hmax + 1))):
+        slice_ = {(h, i): c for h, g in enumerate(gs) for (i, j), c in g.items() if j == 0}
         head = dict(slice_)
         for (h, i), c in slice_.items():
             head[(h + 1, i + 1)] = head.get((h + 1, i + 1), 0) - c
-        out.append({k: c for k, c in head.items() if c and k[0] <= tmax})
+        out.append({k: c for k, c in head.items() if c and k[0] <= hmax})
     return out
 
 

@@ -646,10 +646,26 @@ def test_series_budget_edges(capsys):
         (("count", "minB:-1"), 2, "bad poset spec 'minB:-1': minB:N needs N >= 0"),
         (("count", "rootB:-1"), 2, "bad poset spec 'rootB:-1': rootB:N needs N >= 0"),
         (("count", "cube:1x-1x1"), 2, "bad poset spec 'cube:1x-1x1': cube:LxMxN needs L, M, N >= 0"),
+        # the one-start trunc count checks both sides
+        *((("count", spec, "--method", "series"), 3, "order 41 exceeds budget 40")
+          for spec in ("trunc:41x3:1", "trunc:3x41:1")),
     ],
 )
 def test_refusals_name_the_numbers_as_typed(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("table,engine", [("typeA", "typeA_counts"), ("broot", "b_root_counts")])
+def test_series_refuses_an_order_before_it_computes_a_count(capsys, monkeypatch, table, engine):
+    computed = []
+
+    def counting(n, count=getattr(series, engine)):
+        computed.append(count(n))
+        return computed[-1]
+
+    monkeypatch.setattr(series, engine, counting)
+    assert run(capsys, "series", table, "--order", "41") == (3, "", "error: order 41 exceeds budget 40\n")
+    assert computed == []
 
 
 @pytest.mark.parametrize(

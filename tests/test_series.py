@@ -38,6 +38,7 @@ from icsets.series import (
     narayana,
     rectangle_counts,
     symmetric_typeA_counts,
+    truncated_count,
     truncated_counts,
     truncated_series_head,
     typeA_F_coeffs,
@@ -399,10 +400,32 @@ def test_truncated_diagonal_is_type_a():
 
 
 def test_truncated_symmetry():
-    for g in _g_tables(8, 8):
-        for (h, i, j), c in g.items():
-            if j == 0 and i <= 8:
-                assert g.get((i, h, 0), 0) == c
+    # the walks from (h, 0) to (i, 0) and from (i, 0) to (h, 0), per order
+    for gs in zip(*(_g_tables(8, h) for h in range(9))):
+        for h, g in enumerate(gs):
+            for (i, j), c in g.items():
+                if j == 0 and i <= 8:
+                    assert gs[i].get((h, 0), 0) == c
+
+
+def test_each_start_of_g_equals_the_walk_dp():
+    for h in range(9):
+        assert list(_g_tables(16, h)) == walk_dp_coeffs(16, h)
+
+
+def test_one_start_count_equals_the_table():
+    table = truncated_counts(20, 20)
+    for (m, n, r), c in table.items():
+        assert truncated_count(m, n, r) == c
+
+
+def test_one_start_count_refuses_a_bad_depth():
+    assert truncated_count(3, 2, 1) == 24
+    for r in (-1, 3):
+        with pytest.raises(ValueError, match=r"^truncation depth r=-?\d is not in 0..min\(m, n\)=2$"):
+            truncated_count(3, 2, r)
+    with pytest.raises(SeriesBudgetExceeded, match="^order 41 exceeds budget 40$"):
+        truncated_count(3, 41, 1)
 
 
 def test_engine_equivalence_sweep():
@@ -460,9 +483,9 @@ def test_advance_cancels_boundary_exponents():
 
     # mass on both axes exercises every 1/x and x/y shift; all the negative
     # exponents they create must be gone from the result
-    out = _advance({(0, 0, 0): 1, (0, 0, 2): 3, (0, 2, 0): 5}, {})
-    assert all(i >= 0 and j >= 0 for _, i, j in out)
-    assert _advance({(0, 0, 0): 1}, {}) == {(0, 1, 0): 1}  # origin can only step E
+    out = _advance({(0, 0): 1, (0, 2): 3, (2, 0): 5}, {})
+    assert all(i >= 0 and j >= 0 for i, j in out)
+    assert _advance({(0, 0): 1}, {}) == {(1, 0): 1}  # origin can only step E
 
 
 def test_advance_rejects_negative_counts():
@@ -470,4 +493,4 @@ def test_advance_rejects_negative_counts():
 
     # prev2 carrying more axis mass than walks allow drives a count negative
     with pytest.raises(NegativeExponentError):
-        _advance({(0, 1, 0): 1}, {(0, 2, 0): 99})
+        _advance({(1, 0): 1}, {(2, 0): 99})
