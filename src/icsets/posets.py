@@ -346,7 +346,7 @@ FAMILIES = (
         frame=lambda s: (s.m, s.n, s.r),
         count_spec=lambda s: TruncatedRectangle(max(s.m, s.n), min(s.m, s.n), s.r),
         formula=lambda s: _rectangle_formula(s.m, s.n) if s.r == 0 else None,
-        series=lambda s: series.truncated_count(s.m, s.n, s.r),
+        series=lambda s: series.truncated_counts(s.m, s.n, start=s.n - s.r)[(s.m, s.n, s.r)],
     ),
     Family(
         TypeARoot, "rootA:K",

@@ -313,34 +313,28 @@ def b_root_counts(n: int) -> int:
     return _symmetric_walks(_f_upto(2 * n), 2 * n)
 
 
-def truncated_count(m: int, n: int, r: int) -> int:
-    """ICS count of [m] x [n] minus its bottom r ranks: the walks from
-    (n - r, 0) to (m - r, 0) of length m + n, read off G from that one
-    start."""
-    _check_budget(m, n)
-    if not 0 <= r <= min(m, n):
-        raise ValueError(f"truncation depth r={r} is not in 0..min(m, n)={min(m, n)}")
-    g = next(islice(_g_tables(m + n, n - r, m + n), m + n, None))
-    return g.get((m - r, 0), 0)
-
-
 def truncated_counts(
-    mmax: int, nmax: int, total: int | None = None
+    mmax: int, nmax: int, total: int | None = None, start: int | None = None
 ) -> dict[tuple[int, int, int], int]:
     """Table of ICS counts of [m] x [n] minus its bottom r ranks, for all
     m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
     r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
     the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped from each
     start h <= nmax in lockstep, only to z-order total, with keys beyond
-    the y-horizon of _g_tables dropped."""
+    the y-horizon of _g_tables dropped.  With a start, only that one is
+    stepped and only the entries with n - r = start are kept: one count
+    of trunc:MxN:R is truncated_counts(M, N, start=N - R)[(M, N, R)]."""
     _check_budget(mmax, nmax, *(() if total is None else (total,)))
     total = mmax + nmax if total is None else min(total, mmax + nmax)
+    starts = [h for h in range(nmax + 1) if start in (None, h)]
     out = {}
-    for ell, gs in enumerate(zip(*(_g_tables(total, h, total) for h in range(nmax + 1)))):
+    for ell, gs in enumerate(zip(*(_g_tables(total, h, total) for h in starts))):
+        g_from = dict(zip(starts, gs))
         for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
             n = ell - m
             for r in range(min(m, n) + 1):
-                out[(m, n, r)] = gs[n - r].get((m - r, 0), 0)
+                if n - r in g_from:
+                    out[(m, n, r)] = g_from[n - r].get((m - r, 0), 0)
     return dict(sorted(out.items()))
 
 

@@ -38,7 +38,6 @@ from icsets.series import (
     narayana,
     rectangle_counts,
     symmetric_typeA_counts,
-    truncated_count,
     truncated_counts,
     truncated_series_head,
     typeA_F_coeffs,
@@ -414,18 +413,19 @@ def test_each_start_of_g_equals_the_walk_dp():
 
 
 def test_one_start_count_equals_the_table():
+    # count trunc:MxN:R's series engine steps only the start N - R
     table = truncated_counts(20, 20)
     for (m, n, r), c in table.items():
-        assert truncated_count(m, n, r) == c
+        assert truncated_counts(m, n, start=n - r)[(m, n, r)] == c
+    for h in range(21):
+        assert truncated_counts(20, 20, start=h) == {k: c for k, c in table.items() if k[1] - k[2] == h}
 
 
-def test_one_start_count_refuses_a_bad_depth():
-    assert truncated_count(3, 2, 1) == 24
-    for r in (-1, 3):
-        with pytest.raises(ValueError, match=r"^truncation depth r=-?\d is not in 0..min\(m, n\)=2$"):
-            truncated_count(3, 2, r)
+def test_one_start_table_keeps_the_budget():
+    assert truncated_counts(3, 2, start=1)[(3, 2, 1)] == 24
+    assert truncated_counts(3, 2, start=3) == truncated_counts(3, 2, start=-1) == {}
     with pytest.raises(SeriesBudgetExceeded, match="^order 41 exceeds budget 40$"):
-        truncated_count(3, 41, 1)
+        truncated_counts(3, 41, start=1)
 
 
 def test_engine_equivalence_sweep():
