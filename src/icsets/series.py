@@ -22,15 +22,18 @@ Three independent routes to the same numbers live here:
     start h at a time, on keys (x, y): the t^h slice of G counts the walks
     from (h, 0).  Multiplication by 1/x and x/y is carried out on an
     extended exponent range; every negative exponent must cancel exactly,
-    and failure to cancel is a hard error, never a silent truncation;
+    and failure to cancel is a hard error, never a silent truncation.
+    Between calls, F is kept as three numbers per z-order, the only ones
+    its counts read: the walks back at the origin, all walks, and the
+    walks that end on the x-axis off the origin.  Beyond those, only the
+    paused stepper of F keeps its last two tables, which no caller sees;
 
   * a boundary-flagged dynamic program over walk states (x, y, flag) that
     knows nothing about the functional equation and serves as the
     cross-check engine.
 
 All arithmetic is over Python integers; exactness is asserted wherever a
-count is read off a division.  Callers must not mutate returned coefficient
-mappings.
+count is read off a division.
 """
 
 from __future__ import annotations
@@ -117,10 +120,10 @@ def bicolored_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
 
 
 def narayana(a: int, b: int) -> int:
-    """N(a, b) = C(a, b) * C(a, b - 1) / a."""
+    """N(a, b) = C(a, b) * C(a, b - 1) / a, which is 0 for b outside 1..a."""
     if a <= 0:
         raise ValueError("Narayana numbers need a >= 1")
-    num = comb(a, b) * comb(a, b - 1)
+    num = comb(a, b) * comb(a, b - 1) if 1 <= b <= a else 0
     if num % a:
         raise ArithmeticError(f"Narayana division failed for ({a}, {b})")
     return num // a
@@ -147,10 +150,11 @@ def _ordinal_sum_digits(sizes: list[int]) -> int:
 def closed_form_count(family: str, params) -> int:
     """Per-family closed formulas: 'chain' n, 'ordinal_sum' sizes,
     'two_by_n' n, 'three_by_n' n."""
-    if family == "chain":
+    if family in ("chain", "two_by_n", "three_by_n"):
         n = int(params)
         if n < 0:
-            raise ValueError("chain length must be >= 0")
+            raise ValueError(f"{family} length must be >= 0")
+    if family == "chain":
         return n * (n + 1) // 2 + 1
     if family == "ordinal_sum":
         sizes = list(params)
@@ -166,13 +170,11 @@ def closed_form_count(family: str, params) -> int:
         total = sum(singles)
         return 1 + total + (total * total - sum(s * s for s in singles)) // 2
     if family == "two_by_n":
-        n = int(params)
         num = n**4 + 4 * n**3 + 17 * n**2 + 14 * n + 12
         if num % 12:
             raise ArithmeticError(f"two_by_n numerator {num} not divisible by 12")
         return num // 12
     if family == "three_by_n":
-        n = int(params)
         num = n**6 + 9 * n**5 + 61 * n**4 + 159 * n**3 + 370 * n**2 + 264 * n + 144
         if num % 144:
             raise ArithmeticError(f"three_by_n numerator {num} not divisible by 144")
@@ -262,40 +264,41 @@ def _g_tables(order: int, start: int, total: int | None = None):
         yield prev
 
 
-# F is G from the origin.  cmd_series reads one n at a time, so the tables
-# are kept and the paused generator steps on only on demand.  typeA_counts(n)
-# reads z-order 2n, so F steps to twice the budget.
-_F_CACHE: list[dict[tuple[int, int], int]] = []
+# F is G from the origin.  cmd_series reads one n at a time, so F's three
+# numbers per z-order are kept (see the module docstring) and the paused
+# generator steps on only on demand.  typeA_counts(n) reads z-order 2n, so F
+# steps to twice the budget.
+_F_CACHE: list[tuple[int, int, int]] = []
 _F_STEPS = _g_tables(2 * ORDER_BUDGET, 0)
 
 
-def _f_upto(order: int) -> list[dict[tuple[int, int], int]]:
-    _F_CACHE.extend(islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))))
+def _f_upto(order: int) -> list[tuple[int, int, int]]:
+    """(origin, all, x-axis off the origin) walk counts of F per z-order."""
+    for f in islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))):
+        axis = sum(c for (i, j), c in f.items() if j == 0 and i > 0)
+        _F_CACHE.append((f.get((0, 0), 0), sum(f.values()), axis))
     return _F_CACHE[: order + 1]
 
 
 def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:
-    """Coefficients f_0..f_order of the origin-walk series F(x, y, z), each a
-    copy of the endpoint counts of the walks of that length, keyed (x, y)."""
+    """Coefficients f_0..f_order of the origin-walk series F(x, y, z): the
+    endpoint counts of the walks of each length, keyed (x, y)."""
     _check_budget(order)
-    return [dict(f) for f in _f_upto(order)]
+    return list(_g_tables(order, 0))
 
 
 def typeA_counts(n: int) -> int:
     """Number of ICS of the root triangle with n - 1 minimal elements: the
     constant term at z-order 2n."""
     _check_budget(n)
-    return _f_upto(2 * n)[2 * n].get((0, 0), 0)
+    return _f_upto(2 * n)[2 * n][0]
 
 
-def _symmetric_walks(fs: list[dict[tuple[int, int], int]], ell: int) -> int:
+def _symmetric_walks(fs: list[tuple[int, int, int]], ell: int) -> int:
     """Walks of length ell from the origin that do not end with W on the
     x-axis: all of them, less one W step appended to each walk of length
     ell - 1 that ends on the x-axis off the origin."""
-    total = sum(fs[ell].values())
-    if ell:
-        total -= sum(c for (i, j), c in fs[ell - 1].items() if j == 0 and i > 0)
-    return total
+    return fs[ell][1] - (fs[ell - 1][2] if ell else 0)
 
 
 def symmetric_typeA_counts(order: int) -> list[int]:
@@ -320,21 +323,19 @@ def truncated_counts(
     m <= mmax, n <= nmax with m + n <= total (default mmax + nmax) and
     r <= min(m, n), keyed (m, n, r) in sorted order, via the G recurrence:
     the count sits at t^(n-r) x^(m-r) z^(m+n).  G is stepped from each
-    start h <= nmax in lockstep, only to z-order total, with keys beyond
-    the y-horizon of _g_tables dropped.  With a start, only that one is
-    stepped and only the entries with n - r = start are kept: one count
+    start h = n - r <= nmax in turn, only to z-order total, with keys
+    beyond the y-horizon of _g_tables dropped.  With a start, only that one
+    is stepped and only the entries with n - r = start are kept: one count
     of trunc:MxN:R is truncated_counts(M, N, start=N - R)[(M, N, R)]."""
     _check_budget(mmax, nmax, *(() if total is None else (total,)))
     total = mmax + nmax if total is None else min(total, mmax + nmax)
-    starts = [h for h in range(nmax + 1) if start in (None, h)]
     out = {}
-    for ell, gs in enumerate(zip(*(_g_tables(total, h, total) for h in starts))):
-        g_from = dict(zip(starts, gs))
-        for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
-            n = ell - m
-            for r in range(min(m, n) + 1):
-                if n - r in g_from:
-                    out[(m, n, r)] = g_from[n - r].get((m - r, 0), 0)
+    for h in [h for h in range(nmax + 1) if start in (None, h)]:
+        for ell, g in enumerate(_g_tables(total, h, total)):
+            for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
+                r = ell - m - h  # n - h, with n = ell - m
+                if 0 <= r <= m:
+                    out[(m, ell - m, r)] = g.get((m - r, 0), 0)
     return dict(sorted(out.items()))
 
 

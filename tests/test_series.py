@@ -1,6 +1,10 @@
 """Series arithmetic, closed forms, recurrences, and the cross-check DP."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,14 @@ def test_closed_forms():
         closed_form_count("ordinal_sum", [0])
 
 
+@pytest.mark.parametrize("family", ["chain", "two_by_n", "three_by_n"])
+@pytest.mark.parametrize("n", [-1, -5])
+def test_closed_forms_refuse_a_negative_length(family, n):
+    # two_by_n and three_by_n once gave 41 and 96 at n = -5, and 1 at n = -1
+    with pytest.raises(ValueError, match=f"^{family} length must be >= 0$"):
+        closed_form_count(family, n)
+
+
 # ---------------------------------------------------------------------------
 # Narayana and full ICS
 
@@ -176,6 +188,12 @@ def test_full_count_examples():
     assert full_count(1, 1) == 1
     assert full_count(2, 2) == 3
     assert narayana(3, 2) == 3
+
+
+def test_narayana_is_zero_outside_one_to_a():
+    assert [narayana(3, b) for b in range(-2, 6)] == [0, 0, 0, 1, 3, 1, 0, 0]
+    with pytest.raises(ValueError):
+        narayana(0, 1)
 
 
 def test_full_count_matches_brute_force():
@@ -295,6 +313,32 @@ def test_coefficients_are_nonnegative_to_deep_order():
 
 def test_f_equals_walk_dp():
     assert typeA_F_coeffs(40) == walk_dp_coeffs(40)
+
+
+def test_f_tables_handed_out_are_the_callers_own():
+    fs = typeA_F_coeffs(6)
+    fs[6][(0, 0)] = -1
+    fs[5].clear()
+    fs.append({})
+    assert typeA_F_coeffs(6) == walk_dp_coeffs(6)
+    assert typeA_counts(3) == TYPE_A[2]
+
+
+def test_f_keeps_three_numbers_per_z_order():
+    # in a fresh interpreter: every type A and B root count to n = 40 steps F
+    # to z-order 80; keeping each of its tables held about 3 MiB
+    script = (
+        "import tracemalloc; tracemalloc.start()\n"
+        "from icsets import series\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "for n in range(41): series.typeA_counts(n); series.b_root_counts(n)\n"
+        "print(tracemalloc.get_traced_memory()[0] - base)\n"
+    )
+    src = str(Path(series.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**20
 
 
 def _axis_slice(table, axis):
