@@ -641,6 +641,8 @@ def enumerate_ics(
     poset: FinitePoset, limit: int | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield every ICS exactly once, ascending by bitmask encoding."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     check_oracle_scale(poset.n)
     stream = _ics_mask_stream(poset)
     if limit is not None:

@@ -150,14 +150,19 @@ def _ordinal_sum_digits(sizes: list[int]) -> int:
 def closed_form_count(family: str, params) -> int:
     """Per-family closed formulas: 'chain' n, 'ordinal_sum' sizes,
     'two_by_n' n, 'three_by_n' n."""
+    # type() rather than int() or isinstance(): int() reads 2.5 and "2", and bool is an int
     if family in ("chain", "two_by_n", "three_by_n"):
-        n = int(params)
+        n = params
+        if type(n) is not int:
+            raise ValueError(f"{family} length must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"{family} length must be >= 0")
     if family == "chain":
         return n * (n + 1) // 2 + 1
     if family == "ordinal_sum":
         sizes = list(params)
+        if any(type(a) is not int for a in sizes):
+            raise ValueError(f"ordinal_sum sizes must be ints, got {sizes!r}")
         if any(a <= 0 for a in sizes):
             raise ValueError("antichain sizes must be positive")
         digits = _ordinal_sum_digits(sizes)
@@ -392,6 +397,8 @@ def walk_dp_counts(
     hmax: int, smax: int, lmax: int
 ) -> dict[tuple[int, int, int], int]:
     """Counts of restricted walks from (h, 0) to (s, 0) of each length."""
+    if min(hmax, smax, lmax) < 0:
+        raise ValueError("hmax, smax and lmax must be non-negative")
     out = {}
     for h in range(hmax + 1):
         tables = walk_dp_coeffs(lmax, h)

@@ -13,8 +13,9 @@ about 3.3 s on a 2-vCPU VM with Python 3.11.7 (the reference engine and the
 walk round trips take about 1 s each).  Each record carries a source tag:
 paper-sequence / paper-table for published numbers, closed-form for formula
 cross-checks, oracle for brute-force agreement.  Sets in a record are sorted
-lists, so its text does not depend on how a set was built.  The records are
-the rows of one table, CHECKS.
+lists, so its text does not depend on how a set was built.  Each count of
+one family is read through the family table, as `icsets count` serves it
+(_served).  The records are the rows of one table, CHECKS.
 """
 
 from __future__ import annotations
@@ -93,6 +94,16 @@ def _oracle_count(spec) -> int:
     return posets.count_ics(posets.build_poset(spec))
 
 
+def _served(spec, engine: str = "series") -> int:
+    # the count `icsets count --method <engine>` serves: the family table's engine
+    return getattr(posets.family_of(spec), engine)(spec)
+
+
+def _against_oracle(specs, engine: str = "series"):
+    specs = list(specs)
+    return [_oracle_count(s) for s in specs], [_served(s, engine) for s in specs]
+
+
 def _mirror_count(square) -> int:
     return posets.enumerate_symmetric_ics(posets.build_poset(square), posets.vertical_involution(square))
 
@@ -118,42 +129,32 @@ def _truncated_frames(total: int):
 
 
 def _check_type_a_sequence():
-    return TYPE_A_SEQUENCE, [series.typeA_counts(n) for n in range(1, 11)]
+    return TYPE_A_SEQUENCE, [_served(posets.TypeARoot(n - 1)) for n in range(1, 11)]
 
 
 def _check_b_minuscule_sequence():
-    return B_MINUSCULE_SEQUENCE, series.b_minuscule_counts(10)[1:]
+    return B_MINUSCULE_SEQUENCE, [_served(posets.TypeBMinuscule(n)) for n in range(1, 11)]
 
 
 def _check_b_root_sequence():
-    return B_ROOT_SEQUENCE, [series.b_root_counts(n) for n in range(1, 10)]
+    return B_ROOT_SEQUENCE, [_served(posets.TypeBRoot(n)) for n in range(1, 10)]
 
 
 def _check_rectangle_closed_forms():
-    counts = series.rectangle_counts(3, 6)
     expected, actual = [], []
     for n in range(7):
-        expected.append(series.closed_form_count("two_by_n", n))
-        actual.append(counts[(2, n)])
-        expected.append(series.closed_form_count("three_by_n", n))
-        actual.append(counts[(3, n)])
+        for m, form in ((2, "two_by_n"), (3, "three_by_n")):
+            expected.append(series.closed_form_count(form, n))
+            actual.append(_served(posets.ChainProduct(m, n)))
     return expected, actual
 
 
 def _check_rectangle_oracle(limit: int):
-    expected, actual = [], []
-    counts = series.rectangle_counts(limit, limit)
-    for m in range(limit + 1):
-        for n in range(limit + 1 - m):
-            expected.append(_oracle_count(posets.ChainProduct(m, n)))
-            actual.append(counts[(m, n)])
-    return expected, actual
+    return _against_oracle(posets.ChainProduct(m, n) for m in range(limit + 1) for n in range(limit + 1 - m))
 
 
 def _check_type_a_oracle(top: int):
-    expected = [_oracle_count(posets.TypeARoot(n - 1)) for n in range(1, top + 1)]
-    actual = [series.typeA_counts(n) for n in range(1, top + 1)]
-    return expected, actual
+    return _against_oracle(posets.TypeARoot(n - 1) for n in range(1, top + 1))
 
 
 # each B family's half, and the square whose mirror-symmetric ICS it counts
@@ -170,7 +171,7 @@ def _check_b_oracle(half_class, top: int):
     for n in range(1, top + 1):
         half = half_class(n)
         expected.extend([_oracle_count(half), _mirror_count(_B_SQUARES[half_class](n))])
-        actual.extend([posets.family_of(half).series(half)] * 2)
+        actual.extend([_served(half)] * 2)
     return expected, actual
 
 
@@ -194,9 +195,7 @@ def _check_narayana(total: int):
 
 
 def _check_ordinal_sum_formula():
-    expected = [_oracle_count(posets.OrdinalSumAntichains(sizes)) for sizes in ORDINAL_SUM_BLOCKS]
-    actual = [series.closed_form_count("ordinal_sum", sizes) for sizes in ORDINAL_SUM_BLOCKS]
-    return expected, actual
+    return _against_oracle(map(posets.OrdinalSumAntichains, ORDINAL_SUM_BLOCKS), "formula")
 
 
 def _check_rect_example():
@@ -224,7 +223,7 @@ def _check_truncated_example():
 def _check_truncated_series():
     head = series.truncated_series_head(2, 4)
     expected = [*TRUNCATED_SERIES_HEAD, 24]
-    actual = [head[0], head[1], head[2], series.truncated_counts(3, 2)[(3, 2, 1)]]
+    actual = [head[0], head[1], head[2], _served(posets.TruncatedRectangle(3, 2, 1))]
     return expected, actual
 
 
@@ -282,11 +281,8 @@ def _check_engine_equivalence(total: int):
     table = series.truncated_counts(total, total, total)
     dp = series.walk_dp_counts(total, total, total)
     for m, n, r in _truncated_frames(total):
-        values = {
-            table[(m, n, r)],
-            dp[(n - r, m - r, m + n)],
-            _oracle_count(posets.TruncatedRectangle(m, n, r)),
-        }
+        frame = posets.TruncatedRectangle(m, n, r)
+        values = {table[(m, n, r)], dp[(n - r, m - r, m + n)], _oracle_count(frame), _served(frame)}
         if len(values) != 1:
             bad.append(((m, n, r), sorted(values)))
     return [], bad

@@ -214,6 +214,7 @@ def commands() -> dict[str, list[tuple[str, ...]]]:
         "enumerate": enumerate_,
         "bad_specs": bad_specs,
         "verify": [("verify", "--json", "--level", "quick")],
+        "verify_full": [("verify", "--json", "--level", "full")],
     }
 
 

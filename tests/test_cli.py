@@ -743,6 +743,26 @@ def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
     assert record in failed
 
 
+@pytest.mark.parametrize(
+    "prefix, engine, record",
+    [
+        ("rect", "series", "rectangle series vs oracle m+n<=7"),
+        ("trunc", "series", "engine equivalence m+n<=5"),
+        ("rootA", "series", "type-A counts vs oracle"),
+        ("minB", "series", "B-minuscule counts vs oracle"),
+        ("rootB", "series", "B-root counts vs oracle"),
+        ("ordsum", "formula", "ordinal-sum formula vs oracle"),
+    ],
+)
+def test_quick_verify_catches_every_served_engine(monkeypatch, prefix, engine, record):
+    # verify reads each count through the family table, as `icsets count`
+    # does, so one too many from an engine that `count` serves fails a quick record
+    family = posets.FAMILY_BY_PREFIX[prefix]
+    right = getattr(family, engine)
+    monkeypatch.setattr(family, engine, lambda spec: right(spec) + 1)
+    assert record in {r.name for r in verify.run_checks("quick") if not r.passed}
+
+
 def _ordinal_sum_off_by_one(right):
     return lambda family, params: right(family, params) + (family == "ordinal_sum")
 

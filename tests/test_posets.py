@@ -285,6 +285,12 @@ def test_enumeration_order_and_uniqueness():
     assert len(list(enumerate_ics(poset, limit=5))) == 5
 
 
+def test_enumeration_refuses_a_negative_limit():
+    # not islice's own "Stop argument for islice() must be None or an integer"
+    with pytest.raises(ValueError, match="^limit must be non-negative$"):
+        next(enumerate_ics(build_poset(ChainProduct(2, 2)), limit=-1))
+
+
 def test_enumeration_bound():
     with pytest.raises(OracleScaleExceeded, match=r"^oracle scale exceeded: 36 elements > bound 30$"):
         next(enumerate_ics(build_poset(ChainProduct(6, 6))))

@@ -180,6 +180,25 @@ def test_closed_forms_refuse_a_negative_length(family, n):
         closed_form_count(family, n)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        # int() once read 2.5 as 2, True as 1, 3.0 as 3 and "2" as 2
+        ("chain", 2.5, "chain length must be an int, got 2.5"),
+        ("chain", True, "chain length must be an int, got True"),
+        ("two_by_n", 3.0, "two_by_n length must be an int, got 3.0"),
+        ("three_by_n", "2", "three_by_n length must be an int, got '2'"),
+        # once a float, a count with True read as 1, and a TypeError from '<='
+        ("ordinal_sum", [2.5], r"ordinal_sum sizes must be ints, got \[2.5\]"),
+        ("ordinal_sum", [1, True], r"ordinal_sum sizes must be ints, got \[1, True\]"),
+        ("ordinal_sum", ["3"], r"ordinal_sum sizes must be ints, got \['3'\]"),
+    ],
+)
+def test_closed_forms_refuse_a_value_that_is_no_int(family, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        closed_form_count(family, params)
+
+
 # ---------------------------------------------------------------------------
 # Narayana and full ICS
 
@@ -513,6 +532,13 @@ def test_truncated_counts_memory_to_printed_order():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("args", [(-1, 2, 6), (1, -1, 6), (1, 2, -1)])
+def test_walk_dp_counts_refuses_a_negative_argument(args):
+    # a negative hmax or smax once gave {}, while walk_dp_coeffs refuses a negative start
+    with pytest.raises(ValueError, match="^hmax, smax and lmax must be non-negative$"):
+        walk_dp_counts(*args)
 
 
 def test_walk_dp_examples():
