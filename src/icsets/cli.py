@@ -298,7 +298,8 @@ def cmd_series(args) -> int:
         if order == 0:
             raise ValueError(f"the {which} sequence starts at order 1, got order 0")
         count = series.typeA_counts if which == "typeA" else series.b_root_counts
-        _print_sequence(args, [count(n) for n in range(1, order + 1)], start=1)
+        # largest n first: the first call steps F once, the rest read its cache
+        _print_sequence(args, [count(n) for n in range(order, 0, -1)][::-1], start=1)
     elif which == "truncated":
         table = series.truncated_counts(order, order, order)
         if args.format == "json":

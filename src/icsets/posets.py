@@ -641,8 +641,12 @@ def enumerate_ics(
     poset: FinitePoset, limit: int | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield every ICS exactly once, ascending by bitmask encoding."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
+    if limit is not None:
+        # type() rather than isinstance(): islice reads neither 2.5 nor "3", and bool is an int
+        if type(limit) is not int:
+            raise ValueError(f"limit must be an int, got {limit!r}")
+        if limit < 0:
+            raise ValueError("limit must be non-negative")
     check_oracle_scale(poset.n)
     stream = _ics_mask_stream(poset)
     if limit is not None:

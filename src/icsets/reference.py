@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import _check_budget
 
@@ -189,7 +188,6 @@ class TruncatedSeries:
 # Closed forms: rectangles, bicolored Motzkin paths, staircases
 
 
-@lru_cache(maxsize=32)
 def rectangle_series(mmax: int, nmax: int) -> TruncatedSeries:
     """Series whose (m, n) coefficient counts the ICS of [m] x [n]."""
     _check_budget(mmax, nmax)
@@ -200,7 +198,6 @@ def rectangle_series(mmax: int, nmax: int) -> TruncatedSeries:
     return (2 * one) / (1 - x - y + 2 * x * y + root)
 
 
-@lru_cache(maxsize=32)
 def bicolored_series(mmax: int, nmax: int) -> TruncatedSeries:
     """Bicolored Motzkin path series C(x, y) with C = 1 + (x+y)C + xyC^2,
     x marking up/first-color steps and y down/second-color steps."""
@@ -214,7 +211,6 @@ def bicolored_series(mmax: int, nmax: int) -> TruncatedSeries:
     return TruncatedSeries(("x", "y"), (mmax, nmax), c.coeffs)
 
 
-@lru_cache(maxsize=32)
 def b_minuscule_series(nmax: int) -> TruncatedSeries:
     """Series counting ICS of the staircase half of [n] x [n], equivalently
     mirror-symmetric ICS of the square."""

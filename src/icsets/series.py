@@ -25,8 +25,10 @@ Three independent routes to the same numbers live here:
     and failure to cancel is a hard error, never a silent truncation.
     Between calls, F is kept as three numbers per z-order, the only ones
     its counts read: the walks back at the origin, all walks, and the
-    walks that end on the x-axis off the origin.  Beyond those, only the
-    paused stepper of F keeps its last two tables, which no caller sees;
+    walks that end on the x-axis off the origin.  A read past the kept
+    orders steps F afresh, in one pass to the order it reads, and replaces
+    them; so a loop of reads is cheapest largest order first.  Nothing else
+    is kept between calls;
 
   * a boundary-flagged dynamic program over walk states (x, y, flag) that
     knows nothing about the functional equation and serves as the
@@ -38,7 +40,6 @@ count is read off a division.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb
 from operator import mul
 
@@ -160,7 +161,10 @@ def closed_form_count(family: str, params) -> int:
     if family == "chain":
         return n * (n + 1) // 2 + 1
     if family == "ordinal_sum":
-        sizes = list(params)
+        try:
+            sizes = list(params)
+        except TypeError:  # 3 or None, not a list
+            raise ValueError(f"ordinal_sum sizes must be a list of ints, got {params!r}") from None
         if any(type(a) is not int for a in sizes):
             raise ValueError(f"ordinal_sum sizes must be ints, got {sizes!r}")
         if any(a <= 0 for a in sizes):
@@ -270,19 +274,22 @@ def _g_tables(order: int, start: int, total: int | None = None):
 
 
 # F is G from the origin.  cmd_series reads one n at a time, so F's three
-# numbers per z-order are kept (see the module docstring) and the paused
-# generator steps on only on demand.  typeA_counts(n) reads z-order 2n, so F
-# steps to twice the budget.
+# numbers per z-order are kept (see the module docstring).  A read past them
+# steps F afresh to its own order and replaces the cache in one assignment,
+# so a pass that raises leaves it as it was.  Each call reads its own list,
+# so a shorter pass in another thread cannot cut a read short.
 _F_CACHE: list[tuple[int, int, int]] = []
-_F_STEPS = _g_tables(2 * ORDER_BUDGET, 0)
 
 
 def _f_upto(order: int) -> list[tuple[int, int, int]]:
     """(origin, all, x-axis off the origin) walk counts of F per z-order."""
-    for f in islice(_F_STEPS, max(0, order + 1 - len(_F_CACHE))):
-        axis = sum(c for (i, j), c in f.items() if j == 0 and i > 0)
-        _F_CACHE.append((f.get((0, 0), 0), sum(f.values()), axis))
-    return _F_CACHE[: order + 1]
+    fs = _F_CACHE[: order + 1]
+    if len(fs) <= order:
+        _F_CACHE[:] = fs = [
+            (f.get((0, 0), 0), sum(f.values()), sum(c for (i, j), c in f.items() if j == 0 and i > 0))
+            for f in _g_tables(order, 0)
+        ]
+    return fs
 
 
 def typeA_F_coeffs(order: int) -> list[dict[tuple[int, int], int]]:

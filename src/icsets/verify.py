@@ -1,7 +1,7 @@
 """One-shot verification suite: recomputes every reference number at desk
 scale and reports a pass/fail record per check.
 
-Levels: "quick" runs 23 checks in about 0.4 s (among them the engine
+Levels: "quick" runs 23 checks in about 0.2 s (among them the engine
 equivalence of the truncated-rectangle table, the walk dynamic program and
 the oracle to m + n <= 5, and round-trip and shift-map sweeps to m + n <= 4);
 "full" runs 24 with the larger brute-force sweeps (oracle counts of every
@@ -9,8 +9,9 @@ rectangle with m + n <= 11 and of the type-A triangles to n = 20; three-chain
 tables, round-trip and engine-equivalence sweeps to m + n <= 8, mirror counts
 to B-minuscule n = 9 and B-root n = 6) and a deeper comparison of the integer
 recurrences with the literal closed forms of icsets.reference, and takes
-about 3.3 s on a 2-vCPU VM with Python 3.11.7 (the reference engine and the
-walk round trips take about 1 s each).  Each record carries a source tag:
+about 2.3 s (both timed in-process, without interpreter start, on a 2-vCPU
+VM with Python 3.11.7; the reference engine and the walk round trips take
+about 0.8 s each).  Each record carries a source tag:
 paper-sequence / paper-table for published numbers, closed-form for formula
 cross-checks, oracle for brute-force agreement.  Sets in a record are sorted
 lists, so its text does not depend on how a set was built.  Each count of

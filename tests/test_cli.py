@@ -564,6 +564,18 @@ def test_series_b_root(capsys):
     assert code == 0 and out.strip() == "2, 13, 115, 1166"
 
 
+@pytest.mark.parametrize("which", ["typeA", "broot"])
+def test_series_steps_f_once(capsys, monkeypatch, which):
+    # largest n first: one pass of F to z-order 80, not one pass per n
+    monkeypatch.setattr(series, "_F_CACHE", [])
+    steps = []
+    advance = series._advance
+    monkeypatch.setattr(series, "_advance", lambda prev, prev2: steps.append(1) or advance(prev, prev2))
+    code, out, _ = run(capsys, "series", which, "--order", "40")
+    assert code == 0 and len(steps) == 80
+    assert out.startswith("1, 2, 8, " if which == "typeA" else "2, 13, 115, ")
+
+
 def test_series_rectangle_csv(capsys):
     code, out, _ = run(capsys, "series", "rectangle", "--order", "3", "--format", "csv")
     assert code == 0

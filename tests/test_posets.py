@@ -6,6 +6,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,14 @@ def test_enumeration_refuses_a_negative_limit():
     # not islice's own "Stop argument for islice() must be None or an integer"
     with pytest.raises(ValueError, match="^limit must be non-negative$"):
         next(enumerate_ics(build_poset(ChainProduct(2, 2)), limit=-1))
+
+
+@pytest.mark.parametrize("limit", [2.5, 3.0, True, False, "3"])
+def test_enumeration_refuses_a_limit_that_is_no_int(limit):
+    # once islice's text for 2.5, one set for True and a TypeError for "3"
+    sets = enumerate_ics(build_poset(ChainProduct(2, 2)), limit=limit)
+    with pytest.raises(ValueError, match=f"^limit must be an int, got {re.escape(repr(limit))}$"):
+        next(sets)
 
 
 def test_enumeration_bound():

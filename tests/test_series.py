@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,16 @@ def test_sqrt_takes_no_inverse(monkeypatch):
     assert root * root == disc and root[(0, 0)] == 1
     # the root of 1 + 2x + x^2 is 1 + x, not -(1 + x)
     assert ((1 + x) * (1 + x)).sqrt() == 1 + x
+
+
+def test_reference_series_handed_out_are_the_callers_own():
+    # a cached series once handed its edits on to every later call
+    rectangle_series(3, 3).coeffs[(3, 3)] = 7
+    bicolored_series(3, 3).coeffs.clear()
+    b_minuscule_series(3).coeffs.clear()
+    assert rectangle_series(3, 3)[(3, 3)] == 114
+    assert bicolored_series(3, 3)[(3, 3)] == 175
+    assert b_minuscule_series(3)[(3,)] == 26
 
 
 def test_inverse_pair():
@@ -192,6 +203,9 @@ def test_closed_forms_refuse_a_negative_length(family, n):
         ("ordinal_sum", [2.5], r"ordinal_sum sizes must be ints, got \[2.5\]"),
         ("ordinal_sum", [1, True], r"ordinal_sum sizes must be ints, got \[1, True\]"),
         ("ordinal_sum", ["3"], r"ordinal_sum sizes must be ints, got \['3'\]"),
+        # once a bare TypeError: '...' object is not iterable
+        ("ordinal_sum", 3, "ordinal_sum sizes must be a list of ints, got 3"),
+        ("ordinal_sum", None, "ordinal_sum sizes must be a list of ints, got None"),
     ],
 )
 def test_closed_forms_refuse_a_value_that_is_no_int(family, params, message):
@@ -358,6 +372,74 @@ def test_f_keeps_three_numbers_per_z_order():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2**20
+
+
+def test_f_read_does_not_wait_for_a_pass_in_another_thread(monkeypatch):
+    # a paused generator of F once raised "generator already executing" here
+    monkeypatch.setattr(series, "_F_CACHE", [])
+    entered, release = threading.Event(), threading.Event()
+    advance = series._advance
+
+    def first_step_waits(prev, prev2):
+        if not entered.is_set():  # the worker's first step, before the main thread reads
+            entered.set()
+            release.wait(10)
+        return advance(prev, prev2)
+
+    monkeypatch.setattr(series, "_advance", first_step_waits)
+    counts = {}
+    worker = threading.Thread(target=lambda: counts.update(worker=typeA_counts(10)))
+    worker.start()
+    try:
+        assert entered.wait(10)
+        counts["main"] = typeA_counts(10)
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert counts == {"worker": 18448851, "main": 18448851}
+
+
+def test_f_reads_from_more_threads_than_cores_agree(monkeypatch):
+    # longer and shorter passes replace the cache while other threads read it
+    ns = [16, 3, 11, 7, 14, 1, 9, 5, 12, 2, 15, 8, 4, 13, 6, 10]
+    expected = {n: (typeA_counts(n), b_root_counts(n)) for n in ns}
+    monkeypatch.setattr(series, "_F_CACHE", [])
+    seen = []
+
+    def reader(k):
+        seen.append({n: (typeA_counts(n), b_root_counts(n)) for n in ns[k:] + ns[:k]})
+
+    workers = [threading.Thread(target=reader, args=(k,)) for k in range(0, 16, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == [expected] * len(workers)
+
+
+def test_f_reads_after_a_pass_that_raised(monkeypatch):
+    # a paused generator of F was finished by one exception, and every later
+    # read raised IndexError; RuntimeError stands in for Ctrl-C or MemoryError
+    monkeypatch.setattr(series, "_F_CACHE", [])
+    advance = series._advance
+
+    def fail_once(prev, prev2):
+        monkeypatch.setattr(series, "_advance", advance)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(series, "_advance", fail_once)
+    with pytest.raises(RuntimeError, match="^injected$"):
+        typeA_counts(10)
+    assert series._F_CACHE == []
+    assert b_root_counts(12) == 728506957238
+    assert typeA_counts(12) == 2126727740
 
 
 def _axis_slice(table, axis):
