@@ -43,7 +43,6 @@ by classify_elements for the list of its elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .paths import MOTZKIN_AS_WALK, WALK_AS_MOTZKIN, WALK_MOVES, MotzkinWord, NestedPairBT, QuarterWalk
@@ -53,6 +52,7 @@ from .posets import (  # noqa: F401  NotIntervalClosed is re-exported
     NotIntervalClosed,
     PosetSpec,
     TruncatedRectangle,
+    _Value,
     build_poset,
     family_of,
     normalize_spec,
@@ -256,12 +256,8 @@ def walk_to_ics(walk: QuarterWalk) -> tuple[PosetSpec, frozenset[Label]]:
 # Element classification (the four regions cut out by the two envelopes)
 
 
-@dataclass(frozen=True)
-class ElementClassification:
-    in_ics: frozenset[Label]
-    below_only: frozenset[Label]
-    above_only: frozenset[Label]
-    incomparable: frozenset[Label]
+class ElementClassification(_Value):
+    __slots__ = ("in_ics", "below_only", "above_only", "incomparable")  # frozensets of labels
 
 
 def classify_elements(spec: PosetSpec, ics: Iterable[Label]) -> ElementClassification:

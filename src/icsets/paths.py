@@ -28,16 +28,18 @@ Text encodings (exact contract for the CLI and golden files):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
+
+from .posets import _Value
 
 MOTZKIN_ALPHABET = ("U", "D", "H1", "H2")
 WALK_ALPHABET = ("E", "W", "SE", "NW")
 # the move of each walk letter, and the walk letter of each Motzkin letter
-WALK_MOVES = {"E": (1, 0), "W": (-1, 0), "SE": (1, -1), "NW": (-1, 1)}
-MOTZKIN_AS_WALK = {"U": "NW", "D": "SE", "H1": "E", "H2": "W"}
-WALK_AS_MOTZKIN = {w: s for s, w in MOTZKIN_AS_WALK.items()}
+WALK_MOVES = MappingProxyType({"E": (1, 0), "W": (-1, 0), "SE": (1, -1), "NW": (-1, 1)})
+MOTZKIN_AS_WALK = MappingProxyType({"U": "NW", "D": "SE", "H1": "E", "H2": "W"})
+WALK_AS_MOTZKIN = MappingProxyType({w: s for s, w in MOTZKIN_AS_WALK.items()})
 
 ENUMERATION_LENGTH_BOUND = 14
 
@@ -58,28 +60,17 @@ def _as_walk(steps: Sequence[str]) -> list[str]:
 # Value types
 
 
-class _KeepsVerdict:
-    """Base of the immutable path values, which keep their validity verdict
-    once validate_motzkin or validate_walk has computed it.  The verdict is a
-    cached property, not a dataclass field, so equality, hash and repr ignore
-    it, and __getstate__ leaves it out of pickles and copies."""
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_verdict", None)
-        return state
+class _KeepsVerdict(_Value):
+    # the first validation's verdict: a slot but not a field (the fields are
+    # the subclass's __slots__), so equality, hash, repr and pickles ignore it
+    __slots__ = ("_verdict",)
 
 
-@dataclass(frozen=True)
 class MotzkinWord(_KeepsVerdict):
-    steps: tuple[str, ...]
+    __slots__ = ("steps",)
 
     def __init__(self, steps: Iterable[str]):
-        object.__setattr__(self, "steps", tuple(steps))
-
-    @cached_property
-    def _verdict(self) -> MotzkinVerdict:
-        return _motzkin_verdict(self.steps)
+        super().__init__(tuple(steps))
 
     @property
     def m(self) -> int:
@@ -94,18 +85,11 @@ class MotzkinWord(_KeepsVerdict):
         return [y for _, y in QuarterWalk(0, _as_walk(self.steps)).positions()]
 
 
-@dataclass(frozen=True)
 class QuarterWalk(_KeepsVerdict):
-    start_x: int
-    steps: tuple[str, ...]
+    __slots__ = ("start_x", "steps")
 
     def __init__(self, start_x: int, steps: Iterable[str]):
-        object.__setattr__(self, "start_x", start_x)
-        object.__setattr__(self, "steps", tuple(steps))
-
-    @cached_property
-    def _verdict(self) -> WalkVerdict:
-        return _walk_verdict(self.start_x, self.steps)
+        super().__init__(start_x, tuple(steps))
 
     def positions(self) -> list[tuple[int, int]]:
         """Visited points including the start (length len(steps) + 1)."""
@@ -123,20 +107,11 @@ class QuarterWalk(_KeepsVerdict):
         return self.positions()[-1]
 
 
-@dataclass(frozen=True)
-class NestedPairBT:
-    m: int
-    n: int
-    r: int
-    bottom: tuple[str, ...]
-    top: tuple[str, ...]
+class NestedPairBT(_Value):
+    __slots__ = ("m", "n", "r", "bottom", "top")
 
     def __init__(self, m: int, n: int, r: int, bottom: Iterable[str], top: Iterable[str]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "bottom", tuple(bottom))
-        object.__setattr__(self, "top", tuple(top))
+        super().__init__(m, n, r, tuple(bottom), tuple(top))
 
     def bottom_heights(self) -> list[int]:
         return _ud_heights(self.n, self.bottom)
@@ -159,26 +134,16 @@ class MotzkinStats:
     axis_run_product_sum: int
 
 
-@dataclass(frozen=True)
-class WalkStats:
-    height_sum: int
-    x_axis_returns: int
-    y_axis_returns_excl_last: int
+class WalkStats(_Value):
+    __slots__ = ("height_sum", "x_axis_returns", "y_axis_returns_excl_last")
 
 
-@dataclass(frozen=True)
-class MotzkinVerdict:
-    valid: bool
-    m: int | None = None
-    n: int | None = None
-    violation: str | None = None
+class MotzkinVerdict(_Value):
+    __slots__ = ("valid", "m", "n", "violation")  # (m, n) when valid, else the violation
 
 
-@dataclass(frozen=True)
-class WalkVerdict:
-    valid: bool
-    endpoint: tuple[int, int] | None = None
-    violation: str | None = None
+class WalkVerdict(_Value):
+    __slots__ = ("valid", "endpoint", "violation")  # the endpoint when valid, else the violation
 
 
 # ---------------------------------------------------------------------------
@@ -209,43 +174,52 @@ def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
     A MotzkinWord is checked on its first call only and keeps its verdict;
     any other iterable of letters is checked on every call."""
     if isinstance(word, MotzkinWord):
-        return word._verdict
+        return _kept(word, _motzkin_verdict)
     return _motzkin_verdict(tuple(word))
+
+
+def _kept(value: _KeepsVerdict, check) -> MotzkinVerdict | WalkVerdict:
+    # check(*fields) on the first call, kept in the value for every later one
+    try:
+        return value._verdict
+    except AttributeError:
+        object.__setattr__(value, "_verdict", check(*value._key))
+        return value._verdict
 
 
 def _motzkin_verdict(steps: tuple[str, ...]) -> MotzkinVerdict:
     try:
         walk = _as_walk(steps)  # every letter is checked before any rule
     except ValueError as e:
-        return MotzkinVerdict(False, violation=str(e))
+        return MotzkinVerdict(False, None, None, str(e))
     rule, i, (x, h) = _follow(len(walk), walk)
     if rule == "W then E":
-        return MotzkinVerdict(False, violation=f"H2 on the x-axis followed by H1 at step {i - 1}")
+        return MotzkinVerdict(False, None, None, f"H2 on the x-axis followed by H1 at step {i - 1}")
     if rule is not None:  # read from x = len(steps), x never binds
-        return MotzkinVerdict(False, violation=f"height drops below 0 at step {i}")
+        return MotzkinVerdict(False, None, None, f"height drops below 0 at step {i}")
     if h != 0:
-        return MotzkinVerdict(False, violation=f"final height {h} is not 0")
+        return MotzkinVerdict(False, None, None, f"final height {h} is not 0")
     # from x = m + n the walk moves x by #H1 - #H2 = m - n, as #U = #D
-    return MotzkinVerdict(True, m=x // 2, n=len(walk) - x // 2)
+    return MotzkinVerdict(True, x // 2, len(walk) - x // 2, None)
 
 
 def validate_walk(walk: QuarterWalk) -> WalkVerdict:
     """Structured validity verdict; reports the endpoint when valid.  The walk
     is checked on its first call only and keeps its verdict."""
-    return walk._verdict
+    return _kept(walk, _walk_verdict)
 
 
 def _walk_verdict(start_x: int, steps: tuple[str, ...]) -> WalkVerdict:
     if start_x < 0:
-        return WalkVerdict(False, violation=f"start x {start_x} is negative")
+        return WalkVerdict(False, None, f"start x {start_x} is negative")
     rule, i, (x, y) = _follow(start_x, steps)
     if rule == "letter":
-        return WalkVerdict(False, violation=f"unknown letter {steps[i - 1]!r}")
+        return WalkVerdict(False, None, f"unknown letter {steps[i - 1]!r}")
     if rule == "W then E":
-        return WalkVerdict(False, violation=f"W on the x-axis followed by E at step {i}")
+        return WalkVerdict(False, None, f"W on the x-axis followed by E at step {i}")
     if rule is not None:
-        return WalkVerdict(False, violation=f"leaves the quadrant at step {i} ({x}, {y})")
-    return WalkVerdict(True, endpoint=(x, y))
+        return WalkVerdict(False, None, f"leaves the quadrant at step {i} ({x}, {y})")
+    return WalkVerdict(True, (x, y), None)
 
 
 def _shared_blocks(bh: Sequence[int], th: Sequence[int]) -> Iterator[tuple[int, int]]:

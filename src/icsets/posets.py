@@ -108,6 +108,7 @@ import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import add, mul
+from types import MappingProxyType
 
 from . import series
 
@@ -142,10 +143,14 @@ class NotIntervalClosed(ValueError):
 
 
 class _Value:
-    """An immutable record with the fields named in __slots__, standing in for a
-    frozen dataclass (which costs milliseconds of import time): positional or
-    keyword construction, equality and hash by field values within one class
-    only, the dataclass repr, and AttributeError on assignment."""
+    """The package's immutable record, standing in for a frozen dataclass
+    (which costs about a millisecond of import time to define): positional or
+    keyword construction with every field given, equality and hash by field
+    values within one class only, the dataclass repr, pickling by fields, and
+    AttributeError on assignment.  The fields are the __slots__ of the class
+    itself; slots that a base class between it and _Value adds are not fields,
+    so equality, hash, repr and pickles ignore them (paths keeps a path's
+    validity verdict in one)."""
 
     __slots__ = ("_key",)  # the field values in order, for equality, hash and pickling
 
@@ -423,7 +428,9 @@ class FinitePoset:
     label set are dropped.  Sorted label order must be a linear extension, so
     every cover has a larger index than the element it covers.  The masks are
     closed over the covers in two passes: up in reverse index order, down in
-    index order.
+    index order.  build_poset hands one instance to every caller, so what it
+    holds is read-only: index is a mapping proxy, the masks and the cover
+    adjacency are tuples.
     """
 
     def __init__(self, labels: Iterable[tuple], upper_covers, spec: PosetSpec | None = None):
@@ -433,18 +440,18 @@ class FinitePoset:
         self.labels = labels
         self.spec = spec
         index = {lab: i for i, lab in enumerate(labels)}
-        self.index = index
+        self.index = MappingProxyType(index)
         above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
         for i, js in enumerate(above):
             for j in js:
                 below[j].append(i)
-        self._up = _close_over(above, reversed(range(n)))
-        self._down = _close_over(below, range(n))
+        self._up = tuple(_close_over(above, reversed(range(n))))
+        self._down = tuple(_close_over(below, range(n)))
         # cover-graph neighbours of each element, lower covers first; elements
         # with the same neighbours (a block of an ordinal sum) share one tuple
         shared: dict[tuple, tuple] = {}
-        self._cover_adj = [shared.setdefault(adj, adj) for adj in map(tuple, map(add, below, above))]
+        self._cover_adj = tuple([shared.setdefault(adj, adj) for adj in map(tuple, map(add, below, above))])
         self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
 
     @property

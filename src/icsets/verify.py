@@ -14,7 +14,9 @@ VM with Python 3.11.7; the reference engine and the walk round trips take
 about 0.8 s each).  Each record carries a source tag:
 paper-sequence / paper-table for published numbers, closed-form for formula
 cross-checks, oracle for brute-force agreement.  Sets in a record are sorted
-lists, so its text does not depend on how a set was built.  Each count of
+lists, so its text does not depend on how a set was built.  The pinned
+numbers are tuples and read-only mappings, so no caller can edit them; a
+record shows them as lists and dicts.  Each count of
 one family is read through the family table, as `icsets count` serves it
 (_served).  The records are the rows of one table, CHECKS.
 """
@@ -22,22 +24,22 @@ one family is read through the family table, as `icsets count` serves it
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import bijections, paths, posets, reference, series
 
 # Reference sequences (1-indexed by n).
-TYPE_A_SEQUENCE = [1, 2, 8, 45, 307, 2385, 20362, 186812, 1814156, 18448851]
-B_MINUSCULE_SEQUENCE = [2, 7, 26, 96, 356, 1331, 5014, 19006, 72412, 277058]
-B_ROOT_SEQUENCE = [2, 13, 115, 1166, 12883, 150912, 1844322, 23276741, 301289155]
-THREE_CHAIN_TABLE = {
+TYPE_A_SEQUENCE = (1, 2, 8, 45, 307, 2385, 20362, 186812, 1814156, 18448851)
+B_MINUSCULE_SEQUENCE = (2, 7, 26, 96, 356, 1331, 5014, 19006, 72412, 277058)
+B_ROOT_SEQUENCE = (2, 13, 115, 1166, 12883, 150912, 1844322, 23276741, 301289155)
+THREE_CHAIN_TABLE = MappingProxyType({
     (2, 2, 2): 101,
     (2, 2, 3): 526,
     (2, 2, 4): 2085,
     (2, 2, 5): 6793,
     (2, 3, 3): 5030,
     (2, 3, 4): 33792,
-}
+})
 
 # The running rectangle example: a 20-element ICS of [13] x [14] and its word.
 RECT_EXAMPLE_ICS = frozenset(
@@ -61,24 +63,18 @@ TRUNCATED_EXAMPLE_WALK = "nw w nw w se e nw se se"
 TRUNCATED_EXAMPLE_STATS = (11, 1, 1)
 
 # Block sizes of the ordinal sums whose formula count is checked.
-ORDINAL_SUM_BLOCKS = [(1,), (4,), (1, 1), (2, 3), (3, 1, 2), (1, 1, 1, 1), (2, 5, 1, 3), (4, 4, 4)]
+ORDINAL_SUM_BLOCKS = ((1,), (4,), (1, 1), (2, 3), (3, 1, 2), (1, 1, 1, 1), (2, 5, 1, 3), (4, 4, 4))
 
 # Coefficients of z^0, z^1, z^2 in the printed truncated series head.
-TRUNCATED_SERIES_HEAD = [
-    {(0, 0): 1},
-    {(1, 0): 1, (0, 1): 1},
-    {(0, 0): 1, (1, 1): 1, (2, 0): 1, (0, 2): 1},
-]
+TRUNCATED_SERIES_HEAD = (
+    MappingProxyType({(0, 0): 1}),
+    MappingProxyType({(1, 0): 1, (0, 1): 1}),
+    MappingProxyType({(0, 0): 1, (1, 1): 1, (2, 0): 1, (0, 2): 1}),
+)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    expected: object
-    actual: object
-    source: str
-    passed: bool
-    elapsed: float
+class CheckRecord(posets._Value):
+    __slots__ = ("name", "expected", "actual", "source", "passed", "elapsed")
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,15 +126,15 @@ def _truncated_frames(total: int):
 
 
 def _check_type_a_sequence():
-    return TYPE_A_SEQUENCE, [_served(posets.TypeARoot(n - 1)) for n in range(1, 11)]
+    return list(TYPE_A_SEQUENCE), [_served(posets.TypeARoot(n - 1)) for n in range(1, 11)]
 
 
 def _check_b_minuscule_sequence():
-    return B_MINUSCULE_SEQUENCE, [_served(posets.TypeBMinuscule(n)) for n in range(1, 11)]
+    return list(B_MINUSCULE_SEQUENCE), [_served(posets.TypeBMinuscule(n)) for n in range(1, 11)]
 
 
 def _check_b_root_sequence():
-    return B_ROOT_SEQUENCE, [_served(posets.TypeBRoot(n)) for n in range(1, 10)]
+    return list(B_ROOT_SEQUENCE), [_served(posets.TypeBRoot(n)) for n in range(1, 10)]
 
 
 def _check_rectangle_closed_forms():
@@ -223,7 +219,7 @@ def _check_truncated_example():
 
 def _check_truncated_series():
     head = series.truncated_series_head(2, 4)
-    expected = [*TRUNCATED_SERIES_HEAD, 24]
+    expected = [*map(dict, TRUNCATED_SERIES_HEAD), 24]
     actual = [head[0], head[1], head[2], _served(posets.TruncatedRectangle(3, 2, 1))]
     return expected, actual
 

@@ -526,6 +526,19 @@ def test_stats_truncation_zero_reads_the_rectangle_on_every_ics(capsys):
     )
 
 
+def test_the_cached_poset_cannot_be_edited(capsys):
+    # build_poset hands every caller one FinitePoset, so an edit to it would
+    # change every later answer in the process
+    poset = posets.build_poset(ChainProduct(2, 2))
+    with pytest.raises(TypeError):
+        poset.index[(1, 1)] = 3
+    for table in (poset._up, poset._down, poset._cover_adj):
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+    code, out, _ = run(capsys, "stats", "rect:2x2", "[[1,1]]", "--json")
+    assert code == 0 and json.loads(out)["minimal_in_subset"] == 1
+
+
 def test_stats_rejects_unknown_elements(capsys):
     code, _, err = run(capsys, "stats", "rect:2x2", "[[9,9]]")
     assert code == 2 and "not in the poset" in err
@@ -827,6 +840,25 @@ def test_verify_reads_one_table():
     for column, records in ((3, 23), (4, 24)):
         names = {row[0].format(*row[column]) for row in verify.CHECKS if row[column] is not None}
         assert len(names) == records
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("TYPE_A_SEQUENCE", 3),
+        ("B_MINUSCULE_SEQUENCE", 0),
+        ("B_ROOT_SEQUENCE", 0),
+        ("THREE_CHAIN_TABLE", (2, 2, 2)),
+        ("ORDINAL_SUM_BLOCKS", 0),
+        ("TRUNCATED_SERIES_HEAD", 0),
+    ],
+)
+def test_the_pinned_numbers_cannot_be_edited(name, key):
+    with pytest.raises(TypeError):
+        getattr(verify, name)[key] = 44
+    if name == "TRUNCATED_SERIES_HEAD":
+        with pytest.raises(TypeError):
+            verify.TRUNCATED_SERIES_HEAD[0][(0, 0)] = 2
 
 
 def test_verify_quick(capsys):

@@ -1,5 +1,10 @@
 """The package surface: every public name resolves, and submodules load lazily."""
 
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
 import pytest
 
 import icsets
@@ -42,3 +47,22 @@ def test_unknown_names_raise_attribute_error():
     assert getattr(icsets, "no_such_name", None) is None
     with pytest.raises(AttributeError, match="no_such_name"):
         icsets.no_such_name
+
+
+def test_the_records_are_values_not_dataclasses():
+    # posets._Value is the package's record type: a frozen dataclass costs
+    # about a millisecond of import time to define.  MotzkinStats is the one
+    # exception left.
+    names = [path.stem for path in Path(icsets.__file__).parent.glob("*.py") if path.stem != "__init__"]
+    found = set()
+    for name in names:
+        module = importlib.import_module(f"icsets.{name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                found.add(f"{name}.{obj.__qualname__}")
+    assert found == {"paths.MotzkinStats"}
+    for name in ("bijections", "verify"):
+        tree = ast.parse((Path(icsets.__file__).parent / f"{name}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, name

@@ -1,12 +1,12 @@
 """Path validators, statistics, enumerators, and text encodings."""
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsets import paths
 from icsets.paths import (
     MotzkinWord,
     NestedPairBT,
@@ -252,6 +252,14 @@ def test_nested_pair_text_roundtrip():
         nested_pair_from_text("1 1 0\nUX\nUD")
 
 
+@pytest.mark.parametrize("name", ["WALK_MOVES", "MOTZKIN_AS_WALK", "WALK_AS_MOTZKIN"])
+def test_the_letter_tables_cannot_be_edited(name):
+    # every map reads these tables, so an edit would change every later map
+    table = getattr(paths, name)
+    with pytest.raises(TypeError):
+        table[next(iter(table))] = None
+
+
 # ---------------------------------------------------------------------------
 # kept verdicts
 
@@ -271,15 +279,17 @@ def test_a_kept_verdict_changes_no_visible_behaviour(value):
     import pickle
 
     validate = validate_motzkin if isinstance(value, MotzkinWord) else validate_walk
-    fresh = type(value)(*dataclasses.astuple(value))
+    fresh = type(value)(*(getattr(value, name) for name in type(value).__slots__))
     before = (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0))
+    assert not hasattr(value, "_verdict")
     verdict = validate(value)
     assert validate(value) is verdict  # kept, not recomputed
+    assert value._verdict is verdict and not hasattr(fresh, "_verdict")
     assert (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0)) == before
     assert value == fresh and fresh == value and hash(fresh) == hash(value)
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert other == value and repr(other) == repr(value)
-        assert "_verdict" not in other.__dict__ and validate(other) == verdict
+        assert not hasattr(other, "_verdict") and validate(other) == verdict
 
 
 def test_each_path_value_is_checked_once(monkeypatch):

@@ -678,8 +678,8 @@ COVER_REFERENCE_CASES = [(spec, _componentwise_leq) for spec in GRID_SPECS] + [
 def test_cover_built_masks_match_pairwise_reference(spec, leq_labels):
     poset = build_poset(spec)
     built = (
-        poset._up,
-        poset._down,
+        list(poset._up),
+        list(poset._down),
         poset.covers,
         [tuple(sorted(adj)) for adj in poset._cover_adj],
         poset.minimal_mask,

@@ -290,7 +290,7 @@ def test_bicolored_counts_are_nonnegative():
 
 
 def test_b_minuscule_sequence():
-    assert b_minuscule_counts(10) == [1] + B_MINUSCULE
+    assert b_minuscule_counts(10) == [1, *B_MINUSCULE]
 
 
 def test_b_minuscule_oracle():
@@ -330,7 +330,7 @@ def test_f1_is_x():
 
 
 def test_type_a_sequence():
-    assert [typeA_counts(n) for n in range(1, 11)] == TYPE_A
+    assert [typeA_counts(n) for n in range(1, 11)] == list(TYPE_A)
     assert typeA_counts(0) == 1
 
 
@@ -485,7 +485,7 @@ def test_symmetric_counts_small():
 
 
 def test_b_root_sequence():
-    assert [b_root_counts(n) for n in range(1, 10)] == B_ROOT
+    assert [b_root_counts(n) for n in range(1, 10)] == list(B_ROOT)
 
 
 def test_b_root_reads_the_symmetric_count_at_even_length():
