@@ -125,7 +125,7 @@ def cmd_count(args) -> int:
     results: dict[str, int] = {}
     skipped = None
     for name, engine, missing in (
-        ("oracle", lambda s: posets.count_ics(posets.build_poset(family.count_spec(s))), None),
+        ("oracle", family.oracle, None),
         ("formula", family.formula, "no closed formula"),
         ("series", family.series, "no series engine"),
     ):

@@ -60,13 +60,7 @@ def _as_walk(steps: Sequence[str]) -> list[str]:
 # Value types
 
 
-class _KeepsVerdict(_Value):
-    # the first validation's verdict: a slot but not a field (the fields are
-    # the subclass's __slots__), so equality, hash, repr and pickles ignore it
-    __slots__ = ("_verdict",)
-
-
-class MotzkinWord(_KeepsVerdict):
+class MotzkinWord(_Value):
     __slots__ = ("steps",)
 
     def __init__(self, steps: Iterable[str]):
@@ -85,7 +79,7 @@ class MotzkinWord(_KeepsVerdict):
         return [y for _, y in QuarterWalk(0, _as_walk(self.steps)).positions()]
 
 
-class QuarterWalk(_KeepsVerdict):
+class QuarterWalk(_Value):
     __slots__ = ("start_x", "steps")
 
     def __init__(self, start_x: int, steps: Iterable[str]):
@@ -171,23 +165,8 @@ def _follow(start_x: int, steps: Sequence[str]) -> tuple[str | None, int, tuple[
 
 def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
     """Structured validity verdict; reports (m, n) when the word is valid.
-    A MotzkinWord is checked on its first call only and keeps its verdict;
-    any other iterable of letters is checked on every call."""
-    if isinstance(word, MotzkinWord):
-        return _kept(word, _motzkin_verdict)
-    return _motzkin_verdict(tuple(word))
-
-
-def _kept(value: _KeepsVerdict, check) -> MotzkinVerdict | WalkVerdict:
-    # check(*fields) on the first call, kept in the value for every later one
-    try:
-        return value._verdict
-    except AttributeError:
-        object.__setattr__(value, "_verdict", check(*value._key))
-        return value._verdict
-
-
-def _motzkin_verdict(steps: tuple[str, ...]) -> MotzkinVerdict:
+    The word is a MotzkinWord or any other iterable of letters, read once."""
+    steps = word.steps if isinstance(word, MotzkinWord) else tuple(word)
     try:
         walk = _as_walk(steps)  # every letter is checked before any rule
     except ValueError as e:
@@ -204,12 +183,8 @@ def _motzkin_verdict(steps: tuple[str, ...]) -> MotzkinVerdict:
 
 
 def validate_walk(walk: QuarterWalk) -> WalkVerdict:
-    """Structured validity verdict; reports the endpoint when valid.  The walk
-    is checked on its first call only and keeps its verdict."""
-    return _kept(walk, _walk_verdict)
-
-
-def _walk_verdict(start_x: int, steps: tuple[str, ...]) -> WalkVerdict:
+    """Structured validity verdict; reports the endpoint when valid."""
+    start_x, steps = walk.start_x, walk.steps
     if start_x < 0:
         return WalkVerdict(False, None, f"start x {start_x} is negative")
     rule, i, (x, y) = _follow(start_x, steps)

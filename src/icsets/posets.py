@@ -148,9 +148,7 @@ class _Value:
     keyword construction with every field given, equality and hash by field
     values within one class only, the dataclass repr, pickling by fields, and
     AttributeError on assignment.  The fields are the __slots__ of the class
-    itself; slots that a base class between it and _Value adds are not fields,
-    so equality, hash, repr and pickles ignore them (paths keeps a path's
-    validity verdict in one)."""
+    itself."""
 
     __slots__ = ("_key",)  # the field values in order, for equality, hash and pickling
 
@@ -232,7 +230,8 @@ class Family:
     """One poset family, described once: modules that treat families
     differently read these fields instead of testing a spec's class.  The
     engines look series functions up at call time, so patching the series
-    module reaches them."""
+    module reaches them.  The counting engines are oracle, formula and
+    series; formula and series return None where they do not apply."""
 
     def __init__(
         self,
@@ -269,6 +268,10 @@ class Family:
         self.count_spec = count_spec
         self.formula = formula
         self.series = series
+
+    def oracle(self, spec: PosetSpec) -> int:
+        """The layered count of the oracle's search, on count_spec(spec)."""
+        return count_ics(build_poset(self.count_spec(spec)))
 
 
 def _int(text: str) -> int:
@@ -397,7 +400,7 @@ FAMILIES = (
         count_spec=lambda s: ChainProduct3(*sorted((s.l, s.m, s.n), reverse=True)),
     ),
 )
-FAMILY_BY_PREFIX = {family.form.partition(":")[0]: family for family in FAMILIES}
+FAMILY_BY_PREFIX = MappingProxyType({family.form.partition(":")[0]: family for family in FAMILIES})
 _FAMILY_BY_CLASS = {family.spec_class: family for family in FAMILIES}
 
 
@@ -429,30 +432,38 @@ class FinitePoset:
     every cover has a larger index than the element it covers.  The masks are
     closed over the covers in two passes: up in reverse index order, down in
     index order.  build_poset hands one instance to every caller, so what it
-    holds is read-only: index is a mapping proxy, the masks and the cover
-    adjacency are tuples.
+    holds is read-only: its attributes cannot be rebound or deleted, index is
+    a mapping proxy, and the masks and the cover adjacency are tuples.
     """
+
+    # __weakref__ lets build_poset's cache drop an evicted poset
+    __slots__ = ("n", "labels", "spec", "index", "_up", "_down", "_cover_adj", "minimal_mask", "__weakref__")
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
 
     def __init__(self, labels: Iterable[tuple], upper_covers, spec: PosetSpec | None = None):
         labels = tuple(sorted(labels))
         n = len(labels)
-        self.n = n
-        self.labels = labels
-        self.spec = spec
         index = {lab: i for i, lab in enumerate(labels)}
-        self.index = MappingProxyType(index)
         above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
         for i, js in enumerate(above):
             for j in js:
                 below[j].append(i)
-        self._up = tuple(_close_over(above, reversed(range(n))))
-        self._down = tuple(_close_over(below, range(n)))
         # cover-graph neighbours of each element, lower covers first; elements
         # with the same neighbours (a block of an ordinal sum) share one tuple
         shared: dict[tuple, tuple] = {}
-        self._cover_adj = tuple([shared.setdefault(adj, adj) for adj in map(tuple, map(add, below, above))])
-        self.minimal_mask = sum(1 << i for i in range(n) if not below[i])
+        for name, value in (
+            ("n", n),
+            ("labels", labels),
+            ("spec", spec),
+            ("index", MappingProxyType(index)),
+            ("_up", tuple(_close_over(above, reversed(range(n))))),
+            ("_down", tuple(_close_over(below, range(n)))),
+            ("_cover_adj", tuple([shared.setdefault(adj, adj) for adj in map(tuple, map(add, below, above))])),
+            ("minimal_mask", sum(1 << i for i in range(n) if not below[i])),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def covers(self) -> frozenset[tuple[int, int]]:

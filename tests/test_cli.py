@@ -539,6 +539,28 @@ def test_the_cached_poset_cannot_be_edited(capsys):
     assert code == 0 and json.loads(out)["minimal_in_subset"] == 1
 
 
+def test_the_cached_poset_attributes_cannot_be_rebound(capsys):
+    poset = posets.build_poset(ChainProduct(2, 2))
+    with pytest.raises(AttributeError):
+        poset.minimal_mask = 0
+    for name in posets.FinitePoset.__slots__[:-1]:  # all but __weakref__
+        with pytest.raises(AttributeError):
+            setattr(poset, name, None)
+        with pytest.raises(AttributeError):
+            delattr(poset, name)
+    assert posets.build_poset(ChainProduct(2, 2)) is poset and poset.minimal_mask == 1
+    code, out, _ = run(capsys, "stats", "rect:2x2", "[[1,1]]", "--json")
+    assert code == 0 and json.loads(out)["minimal_in_subset"] == 1
+
+
+@pytest.mark.parametrize("module, name, key", [(posets, "FAMILY_BY_PREFIX", "rect"), (verify, "CHECKS", 0)])
+def test_the_shared_tables_cannot_be_edited(module, name, key):
+    # cli and verify read these tables on every call
+    table = getattr(module, name)
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+
+
 def test_stats_rejects_unknown_elements(capsys):
     code, _, err = run(capsys, "stats", "rect:2x2", "[[9,9]]")
     assert code == 2 and "not in the poset" in err
@@ -768,24 +790,49 @@ def test_quick_verify_catches_the_walk_engines(monkeypatch, engine, record):
     assert record in failed
 
 
-@pytest.mark.parametrize(
-    "prefix, engine, record",
-    [
-        ("rect", "series", "rectangle series vs oracle m+n<=7"),
-        ("trunc", "series", "engine equivalence m+n<=5"),
-        ("rootA", "series", "type-A counts vs oracle"),
-        ("minB", "series", "B-minuscule counts vs oracle"),
-        ("rootB", "series", "B-root counts vs oracle"),
-        ("ordsum", "formula", "ordinal-sum formula vs oracle"),
-    ],
-)
+# (family prefix, engine, the quick record that one too many from it fails)
+ENGINE_ROWS = [
+    ("rect", "series", "rectangle series vs oracle m+n<=7"),
+    ("trunc", "series", "engine equivalence m+n<=5"),
+    ("rootA", "series", "type-A counts vs oracle"),
+    ("minB", "series", "B-minuscule counts vs oracle"),
+    ("rootB", "series", "B-root counts vs oracle"),
+    ("ordsum", "formula", "ordinal-sum formula vs oracle"),
+    ("rect", "formula", "rectangle closed forms n<=6"),
+    ("trunc", "formula", "engine equivalence m+n<=5"),
+    ("rect", "oracle", "rectangle series vs oracle m+n<=7"),
+    ("trunc", "oracle", "engine equivalence m+n<=5"),
+    ("rootA", "oracle", "type-A counts vs oracle"),
+    ("minB", "oracle", "B-minuscule counts vs oracle"),
+    ("rootB", "oracle", "B-root counts vs oracle"),
+    ("ordsum", "oracle", "ordinal-sum formula vs oracle"),
+    ("cube", "oracle", "three-chain table small"),
+]
+
+
+@pytest.mark.parametrize("prefix, engine, record", ENGINE_ROWS)
 def test_quick_verify_catches_every_served_engine(monkeypatch, prefix, engine, record):
     # verify reads each count through the family table, as `icsets count`
-    # does, so one too many from an engine that `count` serves fails a quick record
+    # does, so one too many from an engine that `count` serves fails a quick
+    # record; an engine that does not apply still answers None
     family = posets.FAMILY_BY_PREFIX[prefix]
     right = getattr(family, engine)
-    monkeypatch.setattr(family, engine, lambda spec: right(spec) + 1)
+
+    def wrong(spec):
+        value = right(spec)
+        return None if value is None else value + 1
+
+    monkeypatch.setattr(family, engine, wrong)
     assert record in {r.name for r in verify.run_checks("quick") if not r.passed}
+
+
+def test_the_engine_rows_are_every_engine_that_answers():
+    # every side 2 and no truncation, where every engine of a family answers
+    answering = set()
+    for prefix, family in posets.FAMILY_BY_PREFIX.items():
+        spec = cli.parse_poset_spec(family.form.replace("R", "0").translate(str.maketrans("KLMN", "2222")))
+        answering |= {(prefix, e) for e in ("oracle", "formula", "series") if getattr(family, e)(spec) is not None}
+    assert {row[:2] for row in ENGINE_ROWS} == answering
 
 
 def _ordinal_sum_off_by_one(right):

@@ -261,7 +261,7 @@ def test_the_letter_tables_cannot_be_edited(name):
 
 
 # ---------------------------------------------------------------------------
-# kept verdicts
+# path values hold only their fields
 
 
 @pytest.mark.parametrize(
@@ -274,54 +274,52 @@ def test_the_letter_tables_cannot_be_edited(name):
     ],
     ids=repr,
 )
-def test_a_kept_verdict_changes_no_visible_behaviour(value):
+def test_validating_a_path_value_leaves_only_its_fields(value):
     import copy
     import pickle
 
+    from icsets.posets import _Value
+
     validate = validate_motzkin if isinstance(value, MotzkinWord) else validate_walk
-    fresh = type(value)(*(getattr(value, name) for name in type(value).__slots__))
+    assert type(value).__mro__ == (type(value), _Value, object)
     before = (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0))
-    assert not hasattr(value, "_verdict")
     verdict = validate(value)
-    assert validate(value) is verdict  # kept, not recomputed
-    assert value._verdict is verdict and not hasattr(fresh, "_verdict")
+    assert validate(value) == verdict
+    # the slots that hold a value are its fields and _Value's tuple of them
+    held = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ()) if hasattr(value, name)]
+    assert held == [*type(value).__slots__, "_key"] and not hasattr(value, "__dict__")
     assert (repr(value), hash(value), pickle.dumps(value), pickle.dumps(value, 0)) == before
-    assert value == fresh and fresh == value and hash(fresh) == hash(value)
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert other == value and repr(other) == repr(value)
-        assert not hasattr(other, "_verdict") and validate(other) == verdict
+        assert other == value and repr(other) == repr(value) and validate(other) == verdict
 
 
 def test_each_path_value_is_checked_once(monkeypatch):
-    import icsets.paths as paths_module
+    # a path value keeps no verdict, so every call checks it, and no call
+    # follows its steps twice
     from icsets.bijections import motzkin_to_ics, walk_frame, walk_to_ics
 
-    checked = []
-    for name in ("_motzkin_verdict", "_walk_verdict"):
-        check = getattr(paths_module, name)
-        monkeypatch.setattr(
-            paths_module, name, lambda *args, check=check: checked.append(args) or check(*args)
-        )
+    followed = []
+    real = paths._follow
+    monkeypatch.setattr(paths, "_follow", lambda *args: followed.append(args) or real(*args))
     word = MotzkinWord(["U", "H1", "H2", "D"])
-    validate_motzkin(word)
-    motzkin_to_ics(word)
-    motzkin_stats(word)
-    assert validate_motzkin(word).valid and len(checked) == 1
     walk = QuarterWalk(1, ["NW", "SE", "E", "W"])
-    validate_walk(walk)
-    walk_frame(walk)
-    walk_to_ics(walk)
-    walk_stats(walk)
-    assert validate_walk(walk).valid and len(checked) == 2
-    # any other iterable of letters is checked on every call
+    for value, calls in (
+        (word, (validate_motzkin, motzkin_to_ics, motzkin_stats, validate_motzkin)),
+        (walk, (validate_walk, walk_frame, walk_to_ics, walk_stats, validate_walk)),
+    ):
+        for call in calls:
+            followed.clear()
+            call(value)
+            assert len(followed) == 1, call.__name__
+    # a list of letters is read afresh on every call, so it reflects later edits
     letters = ["U", "D"]
     assert validate_motzkin(letters).valid
     letters.append("D")
     assert validate_motzkin(letters).violation == "height drops below 0 at step 3"
     assert motzkin_stats(("U", "D")).area == 1
-    assert len(checked) == 5
     # a one-shot iterable is read once, so its statistics are not of an empty word
     assert motzkin_stats(iter(["U", "U", "D", "D"])).area == 4
+    assert validate_motzkin(iter(["U", "D"])) == validate_motzkin(MotzkinWord(["U", "D"]))
 
 
 # ---------------------------------------------------------------------------
