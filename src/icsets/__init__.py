@@ -37,8 +37,6 @@ _EXPORTS = {
         "NestedPairBT",
         "QuarterWalk",
         "WalkStats",
-        "enumerate_motzkin",
-        "enumerate_walks",
         "motzkin_stats",
         "validate_motzkin",
         "validate_walk",
@@ -75,7 +73,7 @@ _EXPORTS = {
         "typeA_counts",
         "walk_dp_counts",
     ),
-    "reference": ("TruncatedSeries",),
+    "reference": ("TruncatedSeries", "enumerate_motzkin", "enumerate_walks"),
 }
 # exported name -> the submodule that defines it; a submodule name maps to itself
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}

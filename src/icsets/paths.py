@@ -1,5 +1,5 @@
 """Lattice-path value types: bicolored Motzkin words, quarter-plane walks,
-nested path pairs, their validators, statistics, and brute-force enumerators.
+nested path pairs, their validators and statistics.
 
 Quarter-plane walks start at (start_x, 0) and use steps E=(1,0), W=(-1,0),
 SE=(1,-1), NW=(-1,1).  A walk is valid when it stays in the quadrant
@@ -19,10 +19,9 @@ run from (0, n) to (m+n, m), stay weakly above the line y = r, B stays
 weakly below T, and wherever the two paths coincide each maximal shared
 block has all U steps before all D steps (the canonical form).
 
-Text encodings (exact contract for the CLI and golden files):
+Text encodings (exact contract for the CLI):
   Motzkin words   whitespace-separated tokens U D 1 2
   walks           whitespace-separated tokens e w se nw
-  nested pairs    three lines: "m n r", then B, then T as unseparated U/D
 """
 
 from __future__ import annotations
@@ -34,24 +33,17 @@ from typing import Iterable, Iterator, Sequence
 
 from .posets import _Value
 
-MOTZKIN_ALPHABET = ("U", "D", "H1", "H2")
-WALK_ALPHABET = ("E", "W", "SE", "NW")
-# the move of each walk letter, and the walk letter of each Motzkin letter
+# the move of each walk letter, and the walk letter of each Motzkin letter;
+# their keys are the two alphabets, in the order the enumerators read them
 WALK_MOVES = MappingProxyType({"E": (1, 0), "W": (-1, 0), "SE": (1, -1), "NW": (-1, 1)})
 MOTZKIN_AS_WALK = MappingProxyType({"U": "NW", "D": "SE", "H1": "E", "H2": "W"})
 WALK_AS_MOTZKIN = MappingProxyType({w: s for s, w in MOTZKIN_AS_WALK.items()})
-
-ENUMERATION_LENGTH_BOUND = 14
-
-
-class PathScaleExceeded(RuntimeError):
-    """Raised when a path enumeration is asked to run above its length bound."""
 
 
 def _as_walk(steps: Sequence[str]) -> list[str]:
     """The walk letters of Motzkin letters."""
     for s in steps:
-        if s not in MOTZKIN_ALPHABET:
+        if s not in MOTZKIN_AS_WALK:
             raise ValueError(f"unknown letter {s!r}")
     return [MOTZKIN_AS_WALK[s] for s in steps]
 
@@ -65,14 +57,6 @@ class MotzkinWord(_Value):
 
     def __init__(self, steps: Iterable[str]):
         super().__init__(tuple(steps))
-
-    @property
-    def m(self) -> int:
-        return sum(1 for s in self.steps if s in ("U", "H1"))
-
-    @property
-    def n(self) -> int:
-        return sum(1 for s in self.steps if s in ("D", "H2"))
 
     def heights(self) -> list[int]:
         """Height after each step (length len(steps) + 1, starts at 0)."""
@@ -89,7 +73,7 @@ class QuarterWalk(_Value):
         """Visited points including the start (length len(steps) + 1)."""
         pos = [(self.start_x, 0)]
         for s in self.steps:
-            if s not in WALK_ALPHABET:
+            if s not in WALK_MOVES:
                 raise ValueError(f"unknown letter {s!r}")
             dx, dy = WALK_MOVES[s]
             x, y = pos[-1]
@@ -151,7 +135,7 @@ def _follow(start_x: int, steps: Sequence[str]) -> tuple[str | None, int, tuple[
     x, y = start_x, 0
     w_on_axis = False
     for i, s in enumerate(steps, 1):
-        if s not in WALK_ALPHABET:
+        if s not in WALK_MOVES:
             return "letter", i, (x, y)
         if w_on_axis and s == "E":
             return "W then E", i, (x, y)
@@ -185,6 +169,8 @@ def validate_motzkin(word: MotzkinWord | Iterable[str]) -> MotzkinVerdict:
 def validate_walk(walk: QuarterWalk) -> WalkVerdict:
     """Structured validity verdict; reports the endpoint when valid."""
     start_x, steps = walk.start_x, walk.steps
+    if type(start_x) is not int:  # type() rather than isinstance(): bool is an int
+        return WalkVerdict(False, None, f"start x {start_x!r} is not an int")
     if start_x < 0:
         return WalkVerdict(False, None, f"start x {start_x} is negative")
     rule, i, (x, y) = _follow(start_x, steps)
@@ -256,16 +242,6 @@ def motzkin_stats(word: MotzkinWord | Iterable[str]) -> MotzkinStats:
     return MotzkinStats(sums.height_sum, sums.x_axis_returns, run_product_sum + run_h1 * run_h2)
 
 
-def motzkin_area_by_trapezoids(word: MotzkinWord) -> int:
-    """Independent area computation: sum of per-step trapezoids (full squares
-    plus half triangles).  Agrees with MotzkinStats.area for these step sets."""
-    h = word.heights()
-    twice = sum(h[i] + h[i + 1] for i in range(len(word.steps)))
-    if twice % 2:
-        raise ArithmeticError(f"trapezoid area {twice}/2 is not an integer")
-    return twice // 2
-
-
 def walk_stats(walk: QuarterWalk) -> WalkStats:
     """Sum of heights after each step, SE returns to the x-axis, and W/NW
     returns to the y-axis not counting the final step."""
@@ -289,57 +265,6 @@ def _walk_stats(x: int, steps: Sequence[str]) -> WalkStats:
     if x == 0 and steps:  # the final step is not counted
         y_returns -= 1
     return WalkStats(height_sum, x_returns, y_returns)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force enumeration
-
-
-def enumerate_motzkin(m: int, n: int) -> list[MotzkinWord]:
-    """All valid words with parameters (m, n) in lexicographic order under
-    U < D < H1 < H2: the walks from (n, 0) to (m, 0) in m + n steps under
-    NW < SE < E < W, renamed."""
-    walks = _walk_search(n, m, m + n, _as_walk(MOTZKIN_ALPHABET))
-    return [MotzkinWord(WALK_AS_MOTZKIN[s] for s in steps) for steps in walks]
-
-
-def enumerate_walks(h: int, s: int, length: int) -> list[QuarterWalk]:
-    """All valid walks of the given length from (h, 0) to (s, 0), in
-    lexicographic order under E < W < SE < NW."""
-    return [QuarterWalk(h, steps) for steps in _walk_search(h, s, length, WALK_ALPHABET)]
-
-
-def _walk_search(h: int, s: int, length: int, order: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """The letters of every valid walk of the given length from (h, 0) to
-    (s, 0), in lexicographic order under the letter order given."""
-    if h < 0 or s < 0 or length < 0:
-        raise ValueError("parameters must be non-negative")
-    if length > ENUMERATION_LENGTH_BOUND:
-        raise PathScaleExceeded(
-            f"enumeration bound exceeded: length {length} > {ENUMERATION_LENGTH_BOUND}"
-        )
-    steps: list[str] = []
-
-    def rec(x: int, y: int, left: int, prev_w_on_axis: bool) -> Iterator[tuple[str, ...]]:
-        # every step moves x by 1, so left and s - x must agree in parity;
-        # reaching (s, 0) needs y net SE steps plus |s - x - y| free moves
-        if y + abs(s - x - y) > left or (left - (s - x)) % 2:
-            return
-        if left == 0:
-            yield tuple(steps)
-            return
-        for step in order:
-            if step == "E" and prev_w_on_axis:
-                continue
-            dx, dy = WALK_MOVES[step]
-            nx, ny = x + dx, y + dy
-            if nx < 0 or ny < 0:
-                continue
-            steps.append(step)
-            yield from rec(nx, ny, left - 1, step == "W" and ny == 0)
-            steps.pop()
-
-    return rec(h, 0, length, False)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +294,7 @@ def walk_from_text(start_x: int, text: str) -> QuarterWalk:
     tokens = text.split()
     upper = [t.upper() for t in tokens]
     for t in upper:
-        if t not in WALK_ALPHABET:
+        if t not in WALK_MOVES:
             raise ValueError(f"unknown walk token {t.lower()!r}")
     return QuarterWalk(start_x, upper)
 
-
-def nested_pair_to_text(pair: NestedPairBT) -> str:
-    return "\n".join(
-        (f"{pair.m} {pair.n} {pair.r}", "".join(pair.bottom), "".join(pair.top))
-    )
-
-
-def nested_pair_from_text(text: str) -> NestedPairBT:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) != 3:
-        raise ValueError("expected three lines: 'm n r', B word, T word")
-    try:
-        m, n, r = (int(tok) for tok in lines[0].split())
-    except ValueError:
-        raise ValueError(f"bad header line {lines[0]!r}") from None
-    for ln in lines[1:]:
-        if any(c not in "UD" for c in ln):
-            raise ValueError(f"path line has letters outside U/D: {ln!r}")
-    return NestedPairBT(m, n, r, tuple(lines[1]), tuple(lines[2]))

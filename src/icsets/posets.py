@@ -257,6 +257,7 @@ class Family:
     ):
         self.spec_class = spec_class
         self.form = form
+        self.letters = [c for c in form.partition(":")[2] if c.isupper()]  # one per spec field
         self.parse = parse
         self.check = check
         self.size = size
@@ -292,17 +293,27 @@ def _ints(text: str, *separators: str) -> list[int]:
     return [_int(f) for f in fields + [text]]
 
 
+def _check_ints(spec) -> None:
+    """ValueError naming, in the letters of its family's form, the first
+    field of the spec that is not an int."""
+    for i, value in enumerate(spec._key):
+        if type(value) is not int:  # type() rather than isinstance(): bool is an int
+            family = family_of(spec)
+            raise ValueError(f"{family.form} needs {family.letters[i]} to be an int, got {value!r}")
+
+
 def _nonnegative(spec):
     """The check of a spec whose integer fields must all be >= 0, refused in
     the letters of its family's form: "cube:LxMxN needs L, M, N >= 0"."""
+    _check_ints(spec)
     if min(spec._key) < 0:
-        form = family_of(spec).form
-        letters = [c for c in form.partition(":")[2] if c.isupper()]
-        raise ValueError(f"{form} needs {', '.join(letters)} >= 0")
+        family = family_of(spec)
+        raise ValueError(f"{family.form} needs {', '.join(family.letters)} >= 0")
     return spec
 
 
 def _check_truncated(spec: TruncatedRectangle) -> TruncatedRectangle:
+    _check_ints(spec)
     if spec.m < 0 or spec.n < 0:
         raise ValueError("trunc:MxN:R needs M, N >= 0")
     if spec.r > min(spec.m, spec.n):
@@ -313,6 +324,8 @@ def _check_truncated(spec: TruncatedRectangle) -> TruncatedRectangle:
 
 
 def _check_ordinal_sum(spec: OrdinalSumAntichains) -> OrdinalSumAntichains:
+    if any(type(a) is not int for a in spec.sizes):
+        raise ValueError(f"antichain sizes must be ints, got {spec.sizes}")
     if any(a <= 0 for a in spec.sizes):
         raise ValueError(f"antichain sizes must be positive, got {spec.sizes}")
     return spec
@@ -445,6 +458,8 @@ class FinitePoset:
         labels = tuple(sorted(labels))
         n = len(labels)
         index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != n:  # sorted, so a repeated label repeats in a run
+            raise ValueError(f"repeated labels: {sorted({a for a, b in zip(labels, labels[1:]) if a == b})}")
         above = [[j for j in map(index.get, upper_covers(lab)) if j is not None] for lab in labels]
         below = [[] for _ in range(n)]
         for i, js in enumerate(above):

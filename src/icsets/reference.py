@@ -1,5 +1,6 @@
-"""The literal closed forms over exact rationals: the cross-check of the
-integer recurrences in icsets.series.
+"""The cross-check engines: the literal closed forms over exact rationals,
+for the integer recurrences in icsets.series, and brute-force path
+enumerators, for the maps in icsets.bijections.
 
 TruncatedSeries is a multivariate power series with Fraction coefficients,
 truncated per variable, with Newton iteration for inverses and inverse
@@ -12,10 +13,17 @@ this module, and it is the only one that uses rational arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
+from .paths import MOTZKIN_AS_WALK, WALK_AS_MOTZKIN, WALK_MOVES, MotzkinWord, QuarterWalk
 from .series import _check_budget
+
+ENUMERATION_LENGTH_BOUND = 14
+
+
+class PathScaleExceeded(RuntimeError):
+    """Raised when a path enumeration is asked to run above its length bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +229,66 @@ def b_minuscule_series(nmax: int) -> TruncatedSeries:
     numer = 4 - 10 * x + 8 * x * x
     denom = 2 - 11 * x + 14 * x * x - 8 * x * x * x + (2 - 3 * x) * root
     return numer / denom
+
+
+# ---------------------------------------------------------------------------
+# Brute-force path enumeration
+
+
+def enumerate_motzkin(m: int, n: int) -> list[MotzkinWord]:
+    """All valid words with parameters (m, n) in lexicographic order under
+    U < D < H1 < H2: the walks from (n, 0) to (m, 0) in m + n steps under
+    NW < SE < E < W, renamed."""
+    walks = _walk_search(n, m, m + n, tuple(MOTZKIN_AS_WALK.values()))
+    return [MotzkinWord(WALK_AS_MOTZKIN[s] for s in steps) for steps in walks]
+
+
+def enumerate_walks(h: int, s: int, length: int) -> list[QuarterWalk]:
+    """All valid walks of the given length from (h, 0) to (s, 0), in
+    lexicographic order under E < W < SE < NW."""
+    return [QuarterWalk(h, steps) for steps in _walk_search(h, s, length, tuple(WALK_MOVES))]
+
+
+def _walk_search(h: int, s: int, length: int, order: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The letters of every valid walk of the given length from (h, 0) to
+    (s, 0), in lexicographic order under the letter order given."""
+    if any(type(v) is not int for v in (h, s, length)):  # type(): bool is an int
+        raise ValueError(f"parameters must be ints, got {h!r}, {s!r}, {length!r}")
+    if h < 0 or s < 0 or length < 0:
+        raise ValueError("parameters must be non-negative")
+    if length > ENUMERATION_LENGTH_BOUND:
+        raise PathScaleExceeded(
+            f"enumeration bound exceeded: length {length} > {ENUMERATION_LENGTH_BOUND}"
+        )
+    steps: list[str] = []
+
+    def rec(x: int, y: int, left: int, prev_w_on_axis: bool) -> Iterator[tuple[str, ...]]:
+        # every step moves x by 1, so left and s - x must agree in parity;
+        # reaching (s, 0) needs y net SE steps plus |s - x - y| free moves
+        if y + abs(s - x - y) > left or (left - (s - x)) % 2:
+            return
+        if left == 0:
+            yield tuple(steps)
+            return
+        for step in order:
+            if step == "E" and prev_w_on_axis:
+                continue
+            dx, dy = WALK_MOVES[step]
+            nx, ny = x + dx, y + dy
+            if nx < 0 or ny < 0:
+                continue
+            steps.append(step)
+            yield from rec(nx, ny, left - 1, step == "W" and ny == 0)
+            steps.pop()
+
+    return rec(h, 0, length, False)
+
+
+def motzkin_area_by_trapezoids(word: MotzkinWord) -> int:
+    """Independent area computation: sum of per-step trapezoids (full squares
+    plus half triangles).  Agrees with MotzkinStats.area for these step sets."""
+    h = word.heights()
+    twice = sum(h[i] + h[i + 1] for i in range(len(word.steps)))
+    if twice % 2:
+        raise ArithmeticError(f"trapezoid area {twice}/2 is not an integer")
+    return twice // 2

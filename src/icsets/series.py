@@ -59,6 +59,8 @@ class NegativeExponentError(ArithmeticError):
 
 def _check_budget(*orders: int) -> None:
     for o in orders:
+        if type(o) is not int:  # type() rather than isinstance(): bool is an int
+            raise ValueError(f"orders must be ints, got {o!r}")
         if o < 0:
             raise ValueError("orders must be non-negative")
         if o > ORDER_BUDGET:
@@ -122,6 +124,8 @@ def bicolored_counts(mmax: int, nmax: int) -> dict[tuple[int, int], int]:
 
 def narayana(a: int, b: int) -> int:
     """N(a, b) = C(a, b) * C(a, b - 1) / a, which is 0 for b outside 1..a."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"Narayana numbers need ints, got {a!r} and {b!r}")
     if a <= 0:
         raise ValueError("Narayana numbers need a >= 1")
     num = comb(a, b) * comb(a, b - 1) if 1 <= b <= a else 0
@@ -133,6 +137,8 @@ def narayana(a: int, b: int) -> int:
 def full_count(m: int, n: int) -> int:
     """Number of ICS of [m] x [n] whose bounding paths meet only at their
     endpoints; read off the bicolored path series, equals N(m+n-1, n)."""
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"full ICS counting needs ints, got {m!r} and {n!r}")
     if m < 1 or n < 1:
         raise ValueError("full ICS counting needs m, n >= 1")
     return bicolored_counts(m, n)[(m - 1, n - 1)]
@@ -373,6 +379,8 @@ def walk_dp_coeffs(order: int, start_x: int = 0) -> list[dict[tuple[int, int], i
     """Endpoint count tables per length for restricted quarter-plane walks
     from (start_x, 0), via a DP over (x, y, just-stepped-W-on-axis) states.
     Knows nothing about the functional equation."""
+    if type(order) is not int or type(start_x) is not int:
+        raise ValueError(f"order and start must be ints, got {order!r} and {start_x!r}")
     if order < 0 or start_x < 0:
         raise ValueError("order and start must be non-negative")
     state: dict[tuple[int, int, bool], int] = {(start_x, 0, False): 1}
@@ -404,6 +412,8 @@ def walk_dp_counts(
     hmax: int, smax: int, lmax: int
 ) -> dict[tuple[int, int, int], int]:
     """Counts of restricted walks from (h, 0) to (s, 0) of each length."""
+    if any(type(v) is not int for v in (hmax, smax, lmax)):
+        raise ValueError(f"hmax, smax and lmax must be ints, got {hmax!r}, {smax!r} and {lmax!r}")
     if min(hmax, smax, lmax) < 0:
         raise ValueError("hmax, smax and lmax must be non-negative")
     out = {}

@@ -1,7 +1,7 @@
 """One-shot verification suite: recomputes every reference number at desk
 scale and reports a pass/fail record per check.
 
-Levels: "quick" runs 23 checks in about 0.2 s (among them the engine
+Levels: "quick" runs 23 checks in about 0.2-0.3 s (among them the engine
 equivalence of the truncated-rectangle table, the walk dynamic program and
 the oracle to m + n <= 5, and round-trip and shift-map sweeps to m + n <= 4);
 "full" runs 24 with the larger brute-force sweeps (oracle counts of every
@@ -9,9 +9,9 @@ rectangle with m + n <= 11 and of the type-A triangles to n = 20; three-chain
 tables, round-trip and engine-equivalence sweeps to m + n <= 8, mirror counts
 to B-minuscule n = 9 and B-root n = 6) and a deeper comparison of the integer
 recurrences with the literal closed forms of icsets.reference, and takes
-about 2.3 s (both timed in-process, without interpreter start, on a 2-vCPU
-VM with Python 3.11.7; the reference engine and the walk round trips take
-about 0.8 s each).  Each record carries a source tag:
+about 3 s (both timed in-process, without interpreter start, on a 2-vCPU
+VM with Python 3.11.7: 0.19-0.25 s and 2.8-3.5 s; the reference engine and
+the walk round trips take about 0.8-1.1 s each).  Each record carries a source tag:
 paper-sequence / paper-table for published numbers, closed-form for formula
 cross-checks, oracle for brute-force agreement.  Sets in a record are sorted
 lists, so its text does not depend on how a set was built.  The pinned
@@ -221,21 +221,8 @@ def _check_three_chain(entries: int):
     return expected, actual
 
 
-def _check_motzkin_roundtrips(top: int):
-    bad = []
-    for m in range(top + 1):
-        for n in range(top + 1):
-            poset = posets.build_poset(posets.ChainProduct(m, n))
-            for s in posets.enumerate_ics(poset):
-                labels = poset.labels_of(s)
-                word = bijections.ics_to_motzkin(m, n, labels)
-                if bijections.motzkin_to_ics(word) != (m, n, labels):
-                    bad.append((m, n, labels))
-                    continue
-                st = posets.subset_stats(poset, s)
-                if (st.cardinality, st.component_count, st.incomparable_count) != _motzkin_triple(word):
-                    bad.append((m, n, labels))
-    return [], bad
+def _rectangles(top: int):
+    return (posets.ChainProduct(m, n) for m in range(top + 1) for n in range(top + 1))
 
 
 def _walk_specs(total: int):
@@ -247,18 +234,27 @@ def _walk_specs(total: int):
         yield posets.TruncatedRectangle(*frame)
 
 
-def _check_walk_roundtrips(total: int):
+def _motzkin_round_trip(spec, labels, st) -> bool:
+    word = bijections.ics_to_motzkin(spec.m, spec.n, labels)
+    triple = (st.cardinality, st.component_count, st.incomparable_count)
+    return bijections.motzkin_to_ics(word) == (spec.m, spec.n, labels) and _motzkin_triple(word) == triple
+
+
+def _walk_round_trip(spec, labels, st) -> bool:
+    walk = bijections.ics_to_walk(spec, labels)
+    triple = (st.cardinality, st.component_count, st.minimal_in_subset)
+    return bijections.walk_to_ics(walk)[1] == labels and _walk_triple(walk) == triple
+
+
+def _check_roundtrips(size: int, specs, round_trip):
+    # each ICS of each spec of the sweep must map to a path that maps back to
+    # it and has its statistics; round_trip reads the maps off bijections
     bad = []
-    for spec in _walk_specs(total):
+    for spec in specs(size):
         poset = posets.build_poset(spec)
         for s in posets.enumerate_ics(poset):
             labels = poset.labels_of(s)
-            walk = bijections.ics_to_walk(spec, labels)
-            if bijections.walk_to_ics(walk)[1] != labels:
-                bad.append((spec, labels))
-                continue
-            st = posets.subset_stats(poset, s)
-            if (st.cardinality, st.component_count, st.minimal_in_subset) != _walk_triple(walk):
+            if not round_trip(spec, labels, posets.subset_stats(poset, s)):
                 bad.append((spec, labels))
     return [], bad
 
@@ -378,8 +374,8 @@ CHECKS = (
     ("F vs walk DP l<={}", "closed-form", _check_f_vs_walk_dp, (12,), (12,)),
     ("integer recurrences vs Fraction closed forms m,n<={}, order<={}", "closed-form", _check_integer_recurrences, (6, 20), (10, 40)),
     ("three-chain table full", "paper-table", _check_three_chain, None, (len(THREE_CHAIN_TABLE),)),
-    ("Motzkin round trips m,n<={}", "oracle", _check_motzkin_roundtrips, (2,), (4,)),
-    ("walk round trips m+n<={}", "oracle", _check_walk_roundtrips, (4,), (8,)),
+    ("Motzkin round trips m,n<={}", "oracle", _check_roundtrips, (2, _rectangles, _motzkin_round_trip), (4, _rectangles, _motzkin_round_trip)),
+    ("walk round trips m+n<={}", "oracle", _check_roundtrips, (4, _walk_specs, _walk_round_trip), (8, _walk_specs, _walk_round_trip)),
     ("engine equivalence m+n<={}", "oracle", _check_engine_equivalence, (5,), (8,)),
     ("shift map bijection m+n<={}", "oracle", _check_shift_map, (4,), (7,)),
 )

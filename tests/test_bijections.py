@@ -31,7 +31,6 @@ from icsets.paths import (
     _shared_blocks,
     NestedPairBT,
     QuarterWalk,
-    enumerate_motzkin,
     motzkin_from_text,
     motzkin_stats,
     motzkin_to_text,
@@ -55,6 +54,7 @@ from icsets.posets import (
     normalize_spec,
     subset_stats,
 )
+from icsets.reference import enumerate_motzkin
 from icsets.verify import RECT_EXAMPLE_ICS as RECT_ICS
 from icsets.verify import RECT_EXAMPLE_WORD as RECT_M
 from icsets.verify import TRUNCATED_EXAMPLE_ICS as TRUNCATED_ICS

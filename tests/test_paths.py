@@ -1,6 +1,7 @@
 """Path validators, statistics, enumerators, and text encodings."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,11 @@ from icsets import paths
 from icsets.paths import (
     MotzkinWord,
     NestedPairBT,
-    PathScaleExceeded,
     QuarterWalk,
-    enumerate_motzkin,
-    enumerate_walks,
-    motzkin_area_by_trapezoids,
+    WalkVerdict,
     motzkin_from_text,
     motzkin_stats,
     motzkin_to_text,
-    nested_pair_from_text,
-    nested_pair_to_text,
     validate_motzkin,
     validate_nested_pair,
     validate_walk,
@@ -28,6 +24,7 @@ from icsets.paths import (
     walk_to_text,
 )
 from icsets.posets import ChainProduct, TruncatedRectangle, build_poset, count_ics
+from icsets.reference import PathScaleExceeded, enumerate_motzkin, enumerate_walks, motzkin_area_by_trapezoids
 from icsets.verify import RECT_EXAMPLE_WORD as RUNNING_EXAMPLE_WORD
 from icsets.verify import TRUNCATED_EXAMPLE_WALK, TYPE_A_EXAMPLE_WALK
 
@@ -175,6 +172,16 @@ def test_validate_walk_basics():
     assert v.valid and v.endpoint == (3, 0)
 
 
+@pytest.mark.parametrize("start", [2.5, 1.5, 2.0, True, "1"])
+def test_a_walk_whose_start_is_not_an_int_is_invalid(start):
+    # a float start was followed: (2.5, ["E"]) was valid with endpoint (3.5, 0),
+    # and walk_stats of (1.5, ["W"]) gave all zeros
+    verdict = validate_walk(QuarterWalk(start, ["E"]))
+    assert verdict == WalkVerdict(False, None, f"start x {start!r} is not an int")
+    with pytest.raises(ValueError, match=f"^invalid quarter-plane walk: start x {re.escape(repr(start))} is not an int$"):
+        walk_stats(QuarterWalk(start, ["W"]))
+
+
 def test_walk_stats_examples():
     triangle_walk = walk_from_text(0, TYPE_A_EXAMPLE_WALK)
     s = walk_stats(triangle_walk)
@@ -199,6 +206,22 @@ def test_enumerate_walks():
     assert len(enumerate_walks(1, 2, 5)) == 24
     with pytest.raises(PathScaleExceeded):
         enumerate_walks(0, 0, 16)
+
+
+@pytest.mark.parametrize(
+    "search, args, given",
+    [
+        (enumerate_walks, (1.0, 1, 2), "1.0, 1, 2"),
+        (enumerate_walks, (1, True, 2), "1, True, 2"),
+        (enumerate_walks, (1, 1, 2.5), "1, 1, 2.5"),
+        (enumerate_motzkin, (1, True), "True, 1, 2"),  # the walks from (n, 0) to (m, 0)
+    ],
+)
+def test_the_path_search_refuses_a_number_that_is_not_an_int(search, args, given):
+    # the search once listed walks from x = 1.0, read True as 1 and found
+    # no walk of length 2.5; enumerate_motzkin(1, True) gave two words
+    with pytest.raises(ValueError, match=f"^parameters must be ints, got {re.escape(given)}$"):
+        search(*args)
 
 
 @pytest.mark.parametrize("h", range(5))
@@ -241,15 +264,6 @@ def test_nested_pair_validation():
     assert validate_nested_pair(NestedPairBT(2, 2, 0, "UUD", "UUDD")) is not None
     assert validate_nested_pair(NestedPairBT(2, 2, 1, "DUUD", "UUDD")) is None  # touches floor
     assert validate_nested_pair(NestedPairBT(2, 2, 2, "DUUD", "UUDD")) is not None  # floor
-
-
-def test_nested_pair_text_roundtrip():
-    pair = NestedPairBT(2, 3, 1, "DUDUD", "UDUDD")
-    assert nested_pair_from_text(nested_pair_to_text(pair)) == pair
-    with pytest.raises(ValueError):
-        nested_pair_from_text("1 2\nUD")
-    with pytest.raises(ValueError):
-        nested_pair_from_text("1 1 0\nUX\nUD")
 
 
 @pytest.mark.parametrize("name", ["WALK_MOVES", "MOTZKIN_AS_WALK", "WALK_AS_MOTZKIN"])

@@ -1,5 +1,6 @@
 """Poset builders, the ICS predicate, closures, and the enumeration oracle."""
 
+import contextlib
 import copy
 import importlib.util
 import itertools
@@ -19,6 +20,7 @@ from icsets.posets import (
     ChainProduct,
     ChainProduct3,
     FAMILIES,
+    FinitePoset,
     ICS_ENUMERATION_BOUND,
     Involution,
     NotIntervalClosed,
@@ -102,6 +104,56 @@ def test_spec_validation():
         build_poset(OrdinalSumAntichains((2, 0)))
     # the convention: negative truncation is the plain rectangle
     assert normalize_spec(TruncatedRectangle(2, 3, -2)) == TruncatedRectangle(2, 3, 0)
+
+
+def _refused(spec, message):
+    # the family check, and build_poset past its cache: a cached poset of an
+    # equal spec (ChainProduct(1, 2) for ChainProduct(True, 2)) answers first
+    for build in (normalize_spec, build_poset.__wrapped__):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (TypeARoot(2.0), "rootA:K needs K to be an int, got 2.0"),
+        (ChainProduct(True, 2), "rect:MxN needs M to be an int, got True"),
+        (ChainProduct3(2, 2, "2"), "cube:LxMxN needs N to be an int, got '2'"),
+        (TypeBMinuscule(1.5), "minB:N needs N to be an int, got 1.5"),
+        (TypeBRoot(False), "rootB:N needs N to be an int, got False"),
+    ],
+)
+def test_nonnegative_specs_refuse_a_field_that_is_not_an_int(spec, message):
+    # TypeARoot(2.0) once raised range()'s "'float' object cannot be
+    # interpreted as an integer"
+    _refused(spec, message)
+
+
+def test_a_refused_spec_leaves_no_poset_in_the_cache():
+    # after build_poset(ChainProduct(True, 2)), the cached poset of
+    # ChainProduct(1, 2) once read m=True
+    with contextlib.suppress(ValueError):  # raises unless ChainProduct(1, 11) is cached
+        build_poset(ChainProduct(True, 11))
+    assert type(build_poset(ChainProduct(1, 11)).spec.m) is int
+
+
+@pytest.mark.parametrize("spec, letter", [(TruncatedRectangle(2.0, 2, 0), "M"), (TruncatedRectangle(2, 2, 0.5), "R")])
+def test_truncated_specs_refuse_a_field_that_is_not_an_int(spec, letter):
+    value = spec.m if letter == "M" else spec.r
+    _refused(spec, f"trunc:MxN:R needs {letter} to be an int, got {value!r}")
+
+
+@pytest.mark.parametrize("sizes", [(2.0,), (1, True), (2, "3")])
+def test_ordinal_sums_refuse_a_size_that_is_not_an_int(sizes):
+    _refused(OrdinalSumAntichains(sizes), f"antichain sizes must be ints, got {sizes!r}")
+
+
+def test_a_poset_refuses_repeated_labels():
+    # three elements once came with an index of two, so that the labels of
+    # index 0 mapped back to index 1
+    with pytest.raises(ValueError, match=re.escape("repeated labels: [(1,), (3,)]")):
+        FinitePoset([(1,), (3,), (1,), (2,), (3,)], lambda label: [])
 
 
 @pytest.mark.parametrize(

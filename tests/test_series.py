@@ -1,6 +1,7 @@
 """Series arithmetic, closed forms, recurrences, and the cross-check DP."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,12 +24,12 @@ from icsets.posets import (
     vertical_involution,
 )
 from icsets.bijections import is_full_ics
-from icsets.paths import enumerate_walks
 from icsets import series
 from icsets.reference import (
     TruncatedSeries,
     b_minuscule_series,
     bicolored_series,
+    enumerate_walks,
     rectangle_series,
 )
 from icsets.series import (
@@ -597,6 +598,47 @@ def test_truncated_total_restricts_the_box(mmax, nmax):
         for (m, n, r), c in table.items():
             assert c == dp[(n - r, m - r, m + n)]
     assert truncated_counts(mmax, nmax, mmax + nmax + 5) == box
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        # typeA_counts(2.5) once raised a slice-index TypeError, and typeA_counts(True) gave 1
+        (lambda: typeA_counts(2.5), 2.5),
+        (lambda: typeA_counts(True), True),
+        (lambda: rectangle_counts(2, 2.0), 2.0),
+        (lambda: truncated_counts(2, 2, True), True),
+        (lambda: b_minuscule_counts("3"), "3"),
+    ],
+)
+def test_the_budget_refuses_an_order_that_is_not_an_int(call, value):
+    with pytest.raises(ValueError, match=f"^orders must be ints, got {re.escape(repr(value))}$"):
+        call()
+
+
+@pytest.mark.parametrize("args", [(2.0, 0), (2, 1.5), (True, 0)])
+def test_walk_dp_coeffs_refuses_a_number_that_is_not_an_int(args):
+    with pytest.raises(ValueError, match=re.escape(f"order and start must be ints, got {args[0]!r} and {args[1]!r}")):
+        walk_dp_coeffs(*args)
+
+
+@pytest.mark.parametrize("args", [(1.0, 2, 6), (1, True, 6), (1, 2, 6.0)])
+def test_walk_dp_counts_refuses_a_number_that_is_not_an_int(args):
+    message = f"hmax, smax and lmax must be ints, got {args[0]!r}, {args[1]!r} and {args[2]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        walk_dp_counts(*args)
+
+
+@pytest.mark.parametrize("args", [(3.0, 2), (3, 2.0), (True, 1)])
+def test_narayana_refuses_a_number_that_is_not_an_int(args):
+    with pytest.raises(ValueError, match=re.escape(f"Narayana numbers need ints, got {args[0]!r} and {args[1]!r}")):
+        narayana(*args)
+
+
+@pytest.mark.parametrize("args", [(2.0, 2), (2, True)])
+def test_full_count_refuses_a_number_that_is_not_an_int(args):
+    with pytest.raises(ValueError, match=re.escape(f"full ICS counting needs ints, got {args[0]!r} and {args[1]!r}")):
+        full_count(*args)
 
 
 def test_truncated_total_must_be_non_negative():
