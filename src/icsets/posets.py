@@ -145,10 +145,11 @@ class NotIntervalClosed(ValueError):
 class _Value:
     """The package's immutable record, standing in for a frozen dataclass
     (which costs about a millisecond of import time to define): positional or
-    keyword construction with every field given, equality and hash by field
-    values within one class only, the dataclass repr, pickling by fields, and
-    AttributeError on assignment.  The fields are the __slots__ of the class
-    itself."""
+    keyword construction with every field given, equality by field values
+    and their types (so build_poset's cache never answers TypeARoot(2.0) with
+    the poset of TypeARoot(2)) and hash by field values, within one class
+    only, the dataclass repr, pickling by fields, and AttributeError on
+    assignment.  The fields are the __slots__ of the class itself."""
 
     __slots__ = ("_key",)  # the field values in order, for equality, hash and pickling
 
@@ -165,7 +166,7 @@ class _Value:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key == other._key
+        return self._key == other._key and _types(self._key) == _types(other._key)
 
     def __hash__(self):
         return hash(self._key)
@@ -182,6 +183,12 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._key
+
+
+def _types(value):
+    """The type of a value, or of each item of a tuple, nested: 1, True and
+    1.0 are equal, but their types are not."""
+    return tuple(map(_types, value)) if type(value) is tuple else type(value)
 
 
 class ChainProduct(_Value):

@@ -344,11 +344,14 @@ def truncated_counts(
     start h = n - r <= nmax in turn, only to z-order total, with keys
     beyond the y-horizon of _g_tables dropped.  With a start, only that one
     is stepped and only the entries with n - r = start are kept: one count
-    of trunc:MxN:R is truncated_counts(M, N, start=N - R)[(M, N, R)]."""
+    of trunc:MxN:R is truncated_counts(M, N, start=N - R)[(M, N, R)].  A
+    start that is not an int from 0 to nmax raises ValueError."""
     _check_budget(mmax, nmax, *(() if total is None else (total,)))
+    if start is not None and (type(start) is not int or not 0 <= start <= nmax):
+        raise ValueError(f"start must be an int from 0 to nmax = {nmax}, got {start!r}")
     total = mmax + nmax if total is None else min(total, mmax + nmax)
     out = {}
-    for h in [h for h in range(nmax + 1) if start in (None, h)]:
+    for h in range(nmax + 1) if start is None else [start]:
         for ell, g in enumerate(_g_tables(total, h, total)):
             for m in range(max(0, ell - nmax), min(mmax, ell) + 1):
                 r = ell - m - h  # n - h, with n = ell - m

@@ -107,9 +107,8 @@ def test_spec_validation():
 
 
 def _refused(spec, message):
-    # the family check, and build_poset past its cache: a cached poset of an
-    # equal spec (ChainProduct(1, 2) for ChainProduct(True, 2)) answers first
-    for build in (normalize_spec, build_poset.__wrapped__):
+    # the family check, and build_poset past and through its cache
+    for build in (normalize_spec, build_poset.__wrapped__, build_poset):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(spec)
 
@@ -128,6 +127,22 @@ def test_nonnegative_specs_refuse_a_field_that_is_not_an_int(spec, message):
     # TypeARoot(2.0) once raised range()'s "'float' object cannot be
     # interpreted as an integer"
     _refused(spec, message)
+
+
+@pytest.mark.parametrize(
+    "cached, spec, message",
+    [
+        (ChainProduct(1, 2), ChainProduct(True, 2), "rect:MxN needs M to be an int, got True"),
+        (TypeARoot(2), TypeARoot(2.0), "rootA:K needs K to be an int, got 2.0"),
+        (OrdinalSumAntichains((1, 2)), OrdinalSumAntichains((True, 2)), "antichain sizes must be ints, got (True, 2)"),
+    ],
+    ids=str,
+)
+def test_a_cached_poset_never_answers_an_equal_spec_of_other_types(cached, spec, message):
+    # the cache once handed the poset of the int spec to the equal spec
+    build_poset(cached)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_poset(spec)
 
 
 def test_a_refused_spec_leaves_no_poset_in_the_cache():

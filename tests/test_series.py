@@ -443,6 +443,13 @@ def test_f_reads_after_a_pass_that_raised(monkeypatch):
     assert typeA_counts(12) == 2126727740
 
 
+def test_type_a_counts_equal_the_walk_dp_to_the_budget():
+    # the walk DP shares no code with the G recurrence behind typeA_counts
+    dp = walk_dp_counts(0, 0, 80)
+    for n in range(41):
+        assert typeA_counts(n) == dp[(0, 0, 2 * n)]
+
+
 def _axis_slice(table, axis):
     # axis 0: x = 0 slice as a function of y; axis 1: y = 0 slice of x
     return {k: c for k, c in table.items() if k[axis] == 0}
@@ -569,9 +576,16 @@ def test_one_start_count_equals_the_table():
 
 def test_one_start_table_keeps_the_budget():
     assert truncated_counts(3, 2, start=1)[(3, 2, 1)] == 24
-    assert truncated_counts(3, 2, start=3) == truncated_counts(3, 2, start=-1) == {}
     with pytest.raises(SeriesBudgetExceeded, match="^order 41 exceeds budget 40$"):
         truncated_counts(3, 41, start=1)
+
+
+@pytest.mark.parametrize("start", [-1, 3, 9, True, 2.0, "1"])
+def test_one_start_table_refuses_a_start_outside_the_table(start):
+    # each of these once read as start 1 or 2, or gave {} without a word
+    message = f"start must be an int from 0 to nmax = 2, got {start!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        truncated_counts(3, 2, start=start)
 
 
 def test_engine_equivalence_sweep():
